@@ -77,8 +77,7 @@ def _cmd_identify(args) -> int:
         print("no candidates in bucket")
         return 0
     for rid, score in matches:
-        tag = "accept" if score.mhd <= args.tau else "reject"
-        print(f"{rid}\tmhd {score.mhd:.3f}\t{tag}")
+        print(f"{rid}\tmhd {score.mhd:.3f}\t{score.decision.value}")
     return 0
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyScenario, FingerprintError, ZeroTrials
-from .matching import DEFAULT_TAU
-from .store import DEFAULT_K, compute_signature, gate_trace
+from .matching import DEFAULT_TAU, Decision
+from .store import DEFAULT_K, compute_signature, decide, gate_trace
 from .synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
 
 
@@ -102,11 +102,12 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
 @dataclass(frozen=True)
 class TrialOutcome:
     genuine: bool
-    gates_ok: bool  # index + isomorphism gates
+    index_ok: bool
+    iso_ok: bool
     mhd: float
 
     def accepted(self, tau: float) -> bool:
-        return self.gates_ok and self.mhd <= tau
+        return decide(self.index_ok, self.iso_ok, self.mhd, tau)[1] is Decision.ACCEPT
 
 
 def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
@@ -156,7 +157,8 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
         outcomes.append(
             TrialOutcome(
                 genuine=genuine,
-                gates_ok=gates[0].passed and gates[1].passed,
+                index_ok=gates[0].passed,
+                iso_ok=gates[1].passed,
                 mhd=score.mhd,
             )
         )

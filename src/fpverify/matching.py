@@ -6,9 +6,9 @@ sets, plus the thresholded accept/reject decision. The max-based Hausdorff
 blows up from a single outlier; MHD dilutes it by the set size, which is why
 the decision statistic is MHD.
 
-All three distances are computed with the plain per-pair formula
-sqrt(dx*dx + dy*dy) and sequential summation, so they agree bit for bit with
-a brute-force double loop.
+One kernel, ``nearest_distances``, serves all three and the batched rotation
+search in ``store``: its per-pair sqrt(dx*dx + dy*dy) and sequential sums
+agree bit for bit with a brute-force double loop.
 """
 
 from __future__ import annotations
@@ -36,37 +36,38 @@ def _as_points(points) -> np.ndarray:
     return a.reshape(-1, 2)
 
 
-def _dist_table(m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    dx = m[:, 0][:, None] - n[:, 0][None, :]
-    dy = m[:, 1][:, None] - n[:, 1][None, :]
-    return np.sqrt(dx * dx + dy * dy)
+def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbor distances a->b (..., n) and b->a (..., m) between a
+    set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2)."""
+    table = np.square(a[..., :, None, 0] - b[:, 0])
+    table += np.square(a[..., :, None, 1] - b[:, 1])
+    np.sqrt(table, out=table)
+    return table.min(axis=-1), table.min(axis=-2)
 
 
-def _seq_mean(values: np.ndarray) -> float:
-    # Sequential (left-to-right) accumulation; np.sum's pairwise reduction
-    # would drift from a brute-force loop by an ulp.
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total / len(values)
+def mhd_of(a_to_b: np.ndarray, b_to_a: np.ndarray) -> np.ndarray:
+    """MHD from the nearest-neighbor distances of ``nearest_distances``."""
+    # Sequential (left-to-right) sums; np.sum's pairwise reduction would
+    # drift from a brute-force loop by an ulp.
+    means = [np.cumsum(v, axis=-1)[..., -1] / v.shape[-1] for v in (a_to_b, b_to_a)]
+    return np.maximum(*means)
 
 
 def directed_hausdorff(m_points, n_points) -> float:
     """max over M of the distance to the nearest point of N."""
-    table = _dist_table(_as_points(m_points), _as_points(n_points))
-    return float(table.min(axis=1).max())
+    m_to_n, _ = nearest_distances(_as_points(m_points), _as_points(n_points))
+    return float(m_to_n.max())
 
 
 def hausdorff(m_points, n_points) -> float:
     """Symmetric Hausdorff: max of the two directed distances."""
-    table = _dist_table(_as_points(m_points), _as_points(n_points))
-    return float(max(table.min(axis=1).max(), table.min(axis=0).max()))
+    m_to_n, n_to_m = nearest_distances(_as_points(m_points), _as_points(n_points))
+    return float(max(m_to_n.max(), n_to_m.max()))
 
 
 def modified_hausdorff(m_points, n_points) -> float:
     """MHD: max over both directions of the mean nearest-neighbor distance."""
-    table = _dist_table(_as_points(m_points), _as_points(n_points))
-    return max(_seq_mean(table.min(axis=1)), _seq_mean(table.min(axis=0)))
+    return float(mhd_of(*nearest_distances(_as_points(m_points), _as_points(n_points))))
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,10 @@ class MatchScore:
 
 def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
     """Score two raw point arrays; Accept iff MHD <= tau."""
-    a = _as_points(a_points)
-    b = _as_points(b_points)
-    table = _dist_table(a, b)
-    row_min = table.min(axis=1)
-    col_min = table.min(axis=0)
-    d_ab = float(row_min.max())
-    d_ba = float(col_min.max())
-    mhd = max(_seq_mean(row_min), _seq_mean(col_min))
+    a_to_b, b_to_a = nearest_distances(_as_points(a_points), _as_points(b_points))
+    d_ab = float(a_to_b.max())
+    d_ba = float(b_to_a.max())
+    mhd = float(mhd_of(a_to_b, b_to_a))
     decision = Decision.ACCEPT if mhd <= tau else Decision.REJECT
     return MatchScore(
         hausdorff=max(d_ab, d_ba),

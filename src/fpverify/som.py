@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, UntrainedMap
+from .errors import EmptyTrainingSet, FingerprintError, UntrainedMap
 from .orientation import FEATURE_LEN, FeatureVector, FingerClass
 
 CONVERGENCE_EPS = 1e-6
@@ -287,7 +287,7 @@ def load_som(path) -> SomMap:
     """Read a map file; the loaded map is marked trained, x_avg zeros."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 3 or header[0] != "SOM1":
         raise ValueError("not a SOM1 map file")
     m = int(header[1].removeprefix("m="))
@@ -299,7 +299,11 @@ def load_som(path) -> SomMap:
     labels = []
     for line in lines[1 : 1 + n]:
         s = line.strip()
+        if s != _UNLABELED and s not in by_value:
+            raise FingerprintError(f"unknown class label {s!r} in SOM1 map")
         labels.append(None if s == _UNLABELED else by_value[s])
     values = " ".join(lines[1 + n : 1 + 2 * n]).split()
+    if len(values) != n * FEATURE_LEN:
+        raise FingerprintError("SOM1 weight count does not match m and dim")
     w = np.array([float(v) for v in values], dtype=np.float64).reshape(n, FEATURE_LEN)
     return SomMap(m=m, weights=w, labels=tuple(labels), x_avg=np.zeros(FEATURE_LEN), trained=True)

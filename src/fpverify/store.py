@@ -14,17 +14,17 @@ Verification walks three gates in order and records each in a trace:
                    probe to the template by the best candidate rotation
                    about the core, must not exceed tau.
 
-Gates 1 and 2 are implied by a tight gate 3, but running them separately
-keeps the trace diagnostic and mirrors the layered coarse-to-fine design.
-The candidate rotations in gate 3 come from angle differences of
-similar-radius point pairs, so a probe that is a pure rotation of its
-template aligns exactly.
+``decide`` is the one accept rule (all three gates pass) behind ``verify``,
+each ``identify`` candidate, the CLI tag and every ``evaluate`` threshold.
+Gate 3 scores all candidate rotations (angle differences of similar-radius
+point pairs, so a pure rotation aligns exactly) in one batched call of the
+``matching`` kernel, so the MHD it minimizes is, to the bit, the one reported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .graph import (
     fingerprint_distance,
     index_string,
 )
-from .matching import DEFAULT_TAU, Decision, MatchScore, score_point_sets
+from .matching import DEFAULT_TAU, Decision, MatchScore, mhd_of, nearest_distances, score_point_sets
 from .orientation import FingerClass
 
 DEFAULT_K = 5
@@ -121,12 +121,12 @@ class VerifyResult:
         return None
 
 
-def _rotate(points: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    out = np.empty_like(points)
-    out[:, 0] = points[:, 0] * c - points[:, 1] * s
-    out[:, 1] = points[:, 0] * s + points[:, 1] * c
-    return out
+def _rotate(points: np.ndarray, angles) -> np.ndarray:
+    """Points rotated by each angle, (*angles.shape, n, 2); math cos/sin keep batches bitwise."""
+    a = np.asarray(angles, dtype=np.float64)[..., None]
+    c, s = np.vectorize(math.cos)(a), np.vectorize(math.sin)(a)
+    x, y = points[:, 0], points[:, 1]
+    return np.stack((x * c - y * s, x * s + y * c), axis=-1)
 
 
 def best_rotation_alignment(
@@ -134,8 +134,8 @@ def best_rotation_alignment(
 ) -> tuple[float, float]:
     """(angle, mhd) minimizing MHD over candidate rotations about the origin.
 
-    Candidates are the angle differences of (probe, template) point pairs
-    whose core distances differ by at most radius_band, plus the identity.
+    Candidates are the identity, then angle differences of point pairs whose
+    core distances differ by at most radius_band; the first least MHD wins.
     """
     pr = np.sqrt(probe[:, 0] ** 2 + probe[:, 1] ** 2)
     tr = np.sqrt(template[:, 0] ** 2 + template[:, 1] ** 2)
@@ -146,22 +146,26 @@ def best_rotation_alignment(
     diffs = (ta[None, :] - pa[:, None])[close]
     candidates = np.concatenate(([0.0], diffs))
 
-    best_angle, best_mhd = 0.0, math.inf
-    for angle in candidates.tolist():
-        rotated = _rotate(probe, angle)
-        dx = rotated[:, 0][:, None] - template[:, 0][None, :]
-        dy = rotated[:, 1][:, None] - template[:, 1][None, :]
-        table = np.sqrt(dx * dx + dy * dy)
-        mhd = max(float(table.min(axis=1).mean()), float(table.min(axis=0).mean()))
-        if mhd < best_mhd:
-            best_mhd, best_angle = mhd, angle
-    return best_angle, best_mhd
+    mhds = mhd_of(*nearest_distances(_rotate(probe, candidates), template))
+    best = int(np.argmin(mhds))
+    return float(candidates[best]), float(mhds[best])
+
+
+def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[GateCheck, ...], Decision]:
+    """The accept rule, as the three gates in order and the decision: accept
+    when the index keys match, the graphs are isomorphic and MHD <= tau."""
+    gates = (
+        GateCheck("index", index_ok),
+        GateCheck("isomorphism", iso_ok),
+        GateCheck("mhd", mhd <= tau),
+    )
+    return gates, Decision.ACCEPT if all(g.passed for g in gates) else Decision.REJECT
 
 
 def gate_trace(
     probe_sig: Signature, template_sig_or_record, tau: float
 ) -> tuple[tuple[GateCheck, ...], MatchScore, float]:
-    """Evaluate the three verification gates for a probe/template pair."""
+    """Gates, score (decided by ``decide``) and alignment angle for one pair."""
     t = template_sig_or_record
     index_ok = probe_sig.index_key == t.index_key
     iso_ok = fingerprint_distance(probe_sig.graph, t.graph) == 0
@@ -170,12 +174,8 @@ def gate_trace(
     template_pts = (t.relative if isinstance(t, Signature) else t.minutiae).coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
     score = score_point_sets(_rotate(probe_pts, angle), template_pts, tau)
-    gates = (
-        GateCheck("index", index_ok),
-        GateCheck("isomorphism", iso_ok),
-        GateCheck("mhd", score.decision is Decision.ACCEPT),
-    )
-    return gates, score, angle
+    gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
+    return gates, replace(score, decision=decision), angle
 
 
 class TemplateStore:
@@ -256,7 +256,7 @@ class TemplateStore:
         gates, score, angle = gate_trace(probe_sig, record, tau)
         return VerifyResult(
             record_id=claimed_id,
-            accepted=all(g.passed for g in gates),
+            accepted=score.decision is Decision.ACCEPT,
             gates=gates,
             score=score,
             rotation=angle,
@@ -271,7 +271,8 @@ class TemplateStore:
     ) -> list[tuple[str, MatchScore]]:
         """Score the probe against its index bucket, best (lowest MHD) first.
 
-        An empty list is a valid result: nothing shares the probe's bucket.
+        Each decision is the one ``verify`` gives for that id. An empty list
+        is a valid result: nothing shares the probe's bucket.
         """
         probe_sig = compute_signature(probe, k=k, core=core)
         results: list[tuple[str, MatchScore]] = []
@@ -309,41 +310,53 @@ def _record_text(rec: TemplateRecord) -> str:
 
 
 def _parse_record(text: str) -> TemplateRecord:
+    """Parse an FPREC1 record; a record cut short or malformed anywhere
+    raises FingerprintError, never a partial template."""
     lines = text.splitlines()
     if not lines or lines[0] != "FPREC1":
         raise FingerprintError("not a template record file")
+    if not text.endswith("\n"):
+        raise FingerprintError("template record is cut short: no final newline")
+    pos = 1
 
-    def take(tag: str, line: str) -> str:
-        if not line.startswith(tag + " "):
+    def take(tag: str) -> str:
+        nonlocal pos
+        if pos >= len(lines) or not lines[pos].startswith(tag + " "):
             raise FingerprintError(f"expected {tag} line in record")
-        return line[len(tag) + 1 :]
+        pos += 1
+        return lines[pos - 1][len(tag) + 1 :]
 
-    rec_id = take("ID", lines[1])
-    cls_text = take("CLASS", lines[2])
-    class_label = None if cls_text == "-" else FingerClass(cls_text)
-    index_key = take("INDEX", lines[3])
-    enrolled_at = take("ENROLLED", lines[4])
+    def block(tag: str) -> list[str]:
+        nonlocal pos
+        count = take(tag)
+        if not count.isdigit() or pos + int(count) > len(lines):
+            raise FingerprintError(f"{tag} block shorter than its declared {count!r} lines")
+        pos += int(count)
+        return lines[pos - int(count) : pos]
 
-    pos = 5
-    n_centroids = int(take("CENTROIDS", lines[pos]))
-    pos += 1
-    centroids = np.array(
-        [[float(v) for v in lines[pos + i].split()] for i in range(n_centroids)]
-    ).reshape(n_centroids, 2)
-    pos += n_centroids
+    def pairs(tag: str, convert) -> list[tuple]:
+        rows = [line.split() for line in block(tag)]
+        if any(len(row) != 2 for row in rows):
+            raise FingerprintError(f"each {tag} line must hold two values")
+        return [(convert(a), convert(b)) for a, b in rows]
 
-    n_edges = int(take("EDGES", lines[pos]))
-    pos += 1
-    edges = frozenset(
-        tuple(int(v) for v in lines[pos + i].split())[:2] for i in range(n_edges)
-    )
-    pos += n_edges
-    graph = MinutiaeGraph(vertices=tuple(range(n_centroids)), edges=edges)
-
-    n_min_lines = int(take("MINUTIAE", lines[pos]))
-    pos += 1
-    min_block = "\n".join(lines[pos : pos + n_min_lines]) + "\n"
-    minutiae = parse_minutiae(min_block, source_id=rec_id)
+    try:
+        rec_id = take("ID")
+        cls_text = take("CLASS")
+        class_label = None if cls_text == "-" else FingerClass(cls_text)
+        index_key = take("INDEX")
+        enrolled_at = take("ENROLLED")
+        centroids = np.array(pairs("CENTROIDS", float), dtype=np.float64).reshape(-1, 2)
+        edges = frozenset(pairs("EDGES", int))
+        if any(not 0 <= v < len(centroids) for edge in edges for v in edge):
+            raise FingerprintError("record edge names a missing centroid")
+        graph = MinutiaeGraph(vertices=tuple(range(len(centroids))), edges=edges)
+    except ValueError as exc:
+        raise FingerprintError(f"malformed template record: {exc}") from exc
+    min_block = block("MINUTIAE")
+    if pos != len(lines):
+        raise FingerprintError("template record has lines after its MINUTIAE block")
+    minutiae = parse_minutiae("\n".join(min_block) + "\n", source_id=rec_id)
 
     return TemplateRecord(
         id=rec_id,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CorePoint, Minutia, MinutiaKind, MinutiaeSet, RigidTransform, apply_transform
-from .errors import ConfigInfeasible
+from .errors import ConfigInfeasible, FingerprintError
 from .orientation import BLOCK_SIZE, FeatureVector, FingerClass, OrientationField
 
 DISK_CENTER = (150.0, 150.0)
@@ -229,19 +229,19 @@ def load_orientation_field(source) -> tuple[OrientationField, CorePoint | None]:
     else:
         text = Path(source).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    header = lines[0].split()
-    if header[0] != "OF1" or len(header) != 4:
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or header[0] != "OF1":
         raise ValueError("not an OF1 orientation-field file")
     cols, rows, bs = int(header[1]), int(header[2]), int(header[3])
     cursor = 1
     core = None
-    if lines[cursor].startswith("CORE"):
+    if len(lines) > cursor and lines[cursor].startswith("CORE"):
         _, xs, ys = lines[cursor].split()
         core = CorePoint(float(xs), float(ys))
         cursor += 1
     values = " ".join(lines[cursor:]).split()
     if len(values) != 2 * rows * cols:
-        raise ValueError("orientation-field value count mismatch")
+        raise FingerprintError(f"OF1 file holds {len(values)} values, needs {2 * rows * cols}")
     data = np.array([float(v) for v in values], dtype=np.float64)
     directions = data[: rows * cols].reshape(rows, cols)
     certainties = data[rows * cols :].reshape(rows, cols)

@@ -55,6 +55,30 @@ class TestEnrollVerify:
         assert run("identify", "--store", store, "--tau", 12, probe_file) == 0
         assert "a\t" in capsys.readouterr().out
 
+    def test_identify_tag_follows_the_accept_rule(self, tmp_path, capsys):
+        # Seeds 1 and 15 share a k=7 index key but their cluster graphs are
+        # not isomorphic, so the bucket-mate is rejected however large tau is.
+        from fpverify.graph import is_isomorphic
+        from fpverify.store import compute_signature
+
+        files = []
+        for seed in (1, 15):
+            path = tmp_path / f"f{seed}.min"
+            path.write_bytes(serialize_minutiae(gen_synthetic_minutiae(SynthConfig(seed=seed))))
+            files.append(path)
+        sigs = [compute_signature(load_minutiae(f), k=7) for f in files]
+        assert sigs[0].index_key == sigs[1].index_key
+        assert not is_isomorphic(sigs[0].graph, sigs[1].graph)
+
+        store = tmp_path / "db"
+        run("enroll", "--store", store, "--id", "t", "--k", 7, files[0])
+        capsys.readouterr()
+        assert run("identify", "--store", store, "--k", 7, "--tau", 1e6, files[1]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("t\tmhd ") and line.endswith("\treject")
+        assert float(line.split()[2]) <= 1e6
+        assert run("verify", "--store", store, "--id", "t", "--tau", 1e6, files[1]) == 1
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run("verify", "--store")
@@ -136,6 +160,35 @@ class TestTrainClassify:
         map_path = tmp_path / "m.som"
         run("train", "--out", map_path, "--m", 5, "--epochs", 10, "--seed", 0, listing)
         assert run("classify", "--map", map_path, pgm) == 0
+
+
+class TestBadInput:
+    @pytest.fixture
+    def field_and_map(self, tmp_path):
+        field = tmp_path / "f.of1"
+        run("synth", "field", "--seed", 1, "--out", field)
+        listing = tmp_path / "t.lst"
+        listing.write_text(f"{field} arch\n")
+        map_path = tmp_path / "m.som"
+        run("train", "--out", map_path, "--m", 2, "--epochs", 2, listing)
+        return field, map_path
+
+    def test_som_map_with_unknown_label_is_data_error(self, field_and_map, capsys):
+        field, map_path = field_and_map
+        lines = map_path.read_text().splitlines()
+        lines[1] = "spiral"
+        map_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("classify", "--map", map_path, field) == 3
+        assert "spiral" in capsys.readouterr().err
+
+    def test_header_only_field_is_data_error(self, field_and_map, tmp_path, capsys):
+        field, map_path = field_and_map
+        header_only = tmp_path / "h.of1"
+        header_only.write_text(field.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert run("classify", "--map", map_path, header_only) == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fpverify.core import CorePoint, RigidTransform, apply_transform
-from fpverify.errors import DuplicateId, UnknownId
-from fpverify.matching import Decision
+from fpverify.core import (
+    CorePoint,
+    RigidTransform,
+    apply_transform,
+    parse_minutiae,
+    serialize_minutiae,
+    to_core_relative,
+)
+from fpverify.errors import DuplicateId, FingerprintError, UnknownId
+from fpverify.matching import Decision, modified_hausdorff
 from fpverify.orientation import FingerClass
 from fpverify.store import TemplateStore, best_rotation_alignment, compute_signature
 from fpverify.synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
@@ -184,3 +191,37 @@ class TestAlignment:
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, 2.0]])
         best, mhd = best_rotation_alignment(pts, pts)
         assert mhd == 0.0
+
+    def test_searched_mhd_is_reported_mhd(self, store):
+        # The MHD the rotation search minimizes is the float that
+        # modified_hausdorff, verify and identify report for the same pair.
+        template = finger(1)
+        probe = perturb_impression(template, SynthConfig(seed=1001, jitter_sigma=1.0))
+        probe_pts = to_core_relative(probe).coords()
+        angle, mhd = best_rotation_alignment(probe_pts, to_core_relative(template).coords())
+        c, s = math.cos(angle), math.sin(angle)
+        x, y = probe_pts[:, 0], probe_pts[:, 1]
+        rotated = np.column_stack((x * c - y * s, x * s + y * c))
+        assert modified_hausdorff(rotated, to_core_relative(template).coords()) == mhd
+
+        store.enroll(template, "t", k=3)  # k=3: one bucket for every finger
+        result = store.verify(probe, "t", tau=12.0)
+        assert result.rotation == angle
+        assert result.score.mhd == mhd
+        assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == mhd
+
+
+class TestRecordParsing:
+    def test_every_cut_of_a_record_raises(self, store):
+        # A record cut at any shorter length raises FingerprintError; it
+        # never parses as a shorter template or escapes as another error.
+        mset = parse_minutiae(serialize_minutiae(finger(1)))
+        store.enroll(mset, "a", k=5)
+        path = store.directory / "a.rec"
+        full = path.read_bytes()
+        for n in range(len(full)):
+            path.write_bytes(full[:n])
+            with pytest.raises(FingerprintError):
+                store.get("a")
+        path.write_bytes(full)
+        assert np.array_equal(store.get("a").minutiae.coords(), to_core_relative(mset).coords())
