@@ -40,7 +40,8 @@ def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Nearest-neighbor distances a->b (..., n) and b->a (..., m) between a
     set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2)."""
     table = np.square(a[..., :, None, 0] - b[:, 0])
-    table += np.square(a[..., :, None, 1] - b[:, 1])
+    dy = a[..., :, None, 1] - b[:, 1]
+    table += np.square(dy, out=dy)
     np.sqrt(table, out=table)
     return table.min(axis=-1), table.min(axis=-2)
 

@@ -17,7 +17,7 @@ Verification walks three gates in order and records each in a trace:
 ``decide`` is the one accept rule (all three gates pass) behind ``verify``,
 each ``identify`` candidate, the CLI tag and every ``evaluate`` threshold.
 Gate 3 scores all candidate rotations (angle differences of similar-radius
-point pairs, so a pure rotation aligns exactly) in one batched call of the
+point pairs, so a pure rotation aligns exactly) in batched calls of the
 ``matching`` kernel, so the MHD it minimizes is, to the bit, the one reported.
 """
 
@@ -54,6 +54,10 @@ from .orientation import FingerClass
 
 DEFAULT_K = 5
 ALIGN_RADIUS_BAND = 10.0
+# Gate 3 scores candidate rotations in chunks whose distance tables hold at
+# most this many entries (32 KiB): one table over all ~200 candidates (1-2 MB)
+# needed fresh pages on each call, and its cost varied from run to run.
+ALIGN_TABLE_ENTRIES = 4096
 
 _MANIFEST = "manifest.txt"
 
@@ -121,12 +125,11 @@ class VerifyResult:
         return None
 
 
-def _rotate(points: np.ndarray, angles) -> np.ndarray:
-    """Points rotated by each angle, (*angles.shape, n, 2); math cos/sin keep batches bitwise."""
-    a = np.asarray(angles, dtype=np.float64)[..., None]
-    c, s = np.vectorize(math.cos)(a), np.vectorize(math.sin)(a)
+def _rotate(points: np.ndarray, cos, sin) -> np.ndarray:
+    """Points rotated by an angle's math cos/sin: (n, 2) for scalars, (k, n, 2)
+    for (k, 1) columns, and to the same bits either way."""
     x, y = points[:, 0], points[:, 1]
-    return np.stack((x * c - y * s, x * s + y * c), axis=-1)
+    return np.stack((x * cos - y * sin, x * sin + y * cos), axis=-1)
 
 
 def best_rotation_alignment(
@@ -146,7 +149,14 @@ def best_rotation_alignment(
     diffs = (ta[None, :] - pa[:, None])[close]
     candidates = np.concatenate(([0.0], diffs))
 
-    mhds = mhd_of(*nearest_distances(_rotate(probe, candidates), template))
+    cos = np.array([math.cos(a) for a in candidates.tolist()])[:, None]
+    sin = np.array([math.sin(a) for a in candidates.tolist()])[:, None]
+    step = max(1, ALIGN_TABLE_ENTRIES // (len(probe) * len(template)))
+    chunks = [
+        nearest_distances(_rotate(probe, cos[i : i + step], sin[i : i + step]), template)
+        for i in range(0, len(candidates), step)
+    ]
+    mhds = mhd_of(*(np.concatenate(d) for d in zip(*chunks)))
     best = int(np.argmin(mhds))
     return float(candidates[best]), float(mhds[best])
 
@@ -173,7 +183,7 @@ def gate_trace(
     probe_pts = probe_sig.relative.coords()
     template_pts = (t.relative if isinstance(t, Signature) else t.minutiae).coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
-    score = score_point_sets(_rotate(probe_pts, angle), template_pts, tau)
+    score = score_point_sets(_rotate(probe_pts, math.cos(angle), math.sin(angle)), template_pts, tau)
     gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
     return gates, replace(score, decision=decision), angle
 

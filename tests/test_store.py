@@ -210,6 +210,22 @@ class TestAlignment:
         assert result.score.mhd == mhd
         assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == mhd
 
+    def test_chunk_size_does_not_change_the_result(self, monkeypatch):
+        # Candidates are scored a chunk at a time; any chunk size, one
+        # candidate or all of them per call, picks the same angle and MHD.
+        import fpverify.store as store_module
+
+        pairs = []
+        for seed in range(6):
+            template = to_core_relative(finger(seed)).coords()
+            probe = perturb_impression(finger(seed), SynthConfig(seed=2000 + seed, jitter_sigma=1.0))
+            pairs.append((to_core_relative(probe).coords(), template))
+        results = []
+        for entries in (1, 900 * 7, store_module.ALIGN_TABLE_ENTRIES, 10**9):
+            monkeypatch.setattr(store_module, "ALIGN_TABLE_ENTRIES", entries)
+            results.append([best_rotation_alignment(p, t) for p, t in pairs])
+        assert all(r == results[0] for r in results)
+
 
 class TestRecordParsing:
     def test_every_cut_of_a_record_raises(self, store):
