@@ -1,14 +1,12 @@
 """Self-organizing map classifier over 256-component direction vectors.
 
-Two trainers share the same schedules and epoch structure:
-
-* ``train_som`` - competitive learning on the raw direction vectors.
-* ``train_msom`` - certainty-weighted variant: each input is first blended
-  toward the training mean where certainty is low
-  (``c*x + (1-c)*x_avg``), the winner minimizes the certainty-weighted norm
-  ``||c*(x - w)||``, and each weight component's update is additionally
-  scaled by its certainty. With all certainties at 1 the two trainers
-  produce identical weight trajectories.
+One training loop serves both maps. The certainty-weighted map (MSOM,
+``train_msom``) blends each input toward the training mean where certainty
+is low (``c*x + (1-c)*x_avg``), picks the winner under the weighted norm
+``||c*(x - w)||`` and scales each weight component's update by its
+certainty. The plain map (``train_som``) is that loop with every certainty
+at 1, where the blend, the weighting and the scaling all drop out; it passes
+no certainties, so nothing is multiplied by ones.
 
 The learning rate decays linearly from 0.5 and the rectangular neighborhood
 radius decays from the map side m down to 1 over the configured epochs.
@@ -66,29 +64,27 @@ class SomMap:
     m: int
     weights: np.ndarray  # (m*m, 256)
     labels: tuple[FingerClass | None, ...]
-    x_avg: np.ndarray  # (256,) training-set mean
     trained: bool = False
 
     def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("map side must be at least 2")
         w = np.asarray(self.weights, dtype=np.float64).reshape(self.m * self.m, FEATURE_LEN)
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         self.weights = w
-        self.x_avg = np.asarray(self.x_avg, dtype=np.float64).reshape(FEATURE_LEN)
         self.labels = tuple(self.labels)
         if len(self.labels) != self.m * self.m:
             raise ValueError("one label slot per node required")
 
     @classmethod
     def initialize(cls, m: int, cfg: TrainConfig, rng: np.random.Generator | None = None) -> "SomMap":
-        if m < 2:
-            raise ValueError("map side must be at least 2")
         if cfg.init_mode is InitMode.ZERO:
             w = np.zeros((m * m, FEATURE_LEN))
         else:
             rng = rng if rng is not None else np.random.default_rng(cfg.seed)
             w = rng.uniform(0.0, 0.01, size=(m * m, FEATURE_LEN))
-        return cls(m=m, weights=w, labels=(None,) * (m * m), x_avg=np.zeros(FEATURE_LEN))
+        return cls(m=m, weights=w, labels=(None,) * (m * m))
 
     def node_coords(self, j: int) -> tuple[int, int]:
         return divmod(j, self.m)
@@ -96,13 +92,15 @@ class SomMap:
 
 def find_winner(som: SomMap, x: np.ndarray) -> int:
     """Node with the smallest Euclidean distance to x; ties -> lowest index."""
+    return msom_find_winner(som, x, None)
+
+
+def msom_find_winner(som: SomMap, x: np.ndarray, c: np.ndarray | None) -> int:
+    """Winner under the certainty-weighted norm ||c*(x - w)||; ties -> lowest
+    index. With c None it is the plain Euclidean winner (c = 1, unmultiplied)."""
     diff = np.asarray(x, dtype=np.float64) - som.weights
-    return int(np.argmin((diff * diff).sum(axis=1)))
-
-
-def msom_find_winner(som: SomMap, x: np.ndarray, c: np.ndarray) -> int:
-    """Winner under the certainty-weighted norm ||c*(x - w)||."""
-    diff = (np.asarray(x, dtype=np.float64) - som.weights) * np.asarray(c, dtype=np.float64)
+    if c is not None:
+        diff *= np.asarray(c, dtype=np.float64)
     return int(np.argmin((diff * diff).sum(axis=1)))
 
 
@@ -115,10 +113,16 @@ def msom_blend(x: np.ndarray, c: np.ndarray, x_avg: np.ndarray) -> np.ndarray:
     return c * x + (1.0 - c) * np.asarray(x_avg, dtype=np.float64)
 
 
-def _window_mask(m: int, winner: int, radius: int) -> np.ndarray:
+def _move_window(w: np.ndarray, m: int, x: np.ndarray, c, winner: int, radius: int, rate: float) -> None:
+    """In place: the nodes within Chebyshev distance ``radius`` of the winner
+    move toward x by ``rate``, each component scaled by its certainty c."""
     rows, cols = np.divmod(np.arange(m * m), m)
     wr, wc = divmod(winner, m)
-    return np.maximum(np.abs(rows - wr), np.abs(cols - wc)) <= radius
+    mask = np.maximum(np.abs(rows - wr), np.abs(cols - wc)) <= radius
+    step = rate * (x - w[mask])
+    if c is not None:
+        step *= c
+    w[mask] += step
 
 
 def update_weights(som: SomMap, x: np.ndarray, winner: int, t: int, cfg: TrainConfig) -> SomMap:
@@ -127,41 +131,51 @@ def update_weights(som: SomMap, x: np.ndarray, winner: int, t: int, cfg: TrainCo
     if not 0 <= t < cfg.epochs:
         raise ValueError("epoch index out of range")
     w = som.weights.copy()
-    mask = _window_mask(som.m, winner, cfg.radius(t, som.m))
-    rate = cfg.learning_rate(t)
-    w[mask] += rate * (np.asarray(x, dtype=np.float64) - w[mask])
-    return SomMap(m=som.m, weights=w, labels=som.labels, x_avg=som.x_avg.copy(), trained=som.trained)
+    _move_window(w, som.m, np.asarray(x, dtype=np.float64), None, winner, cfg.radius(t, som.m), cfg.learning_rate(t))
+    return SomMap(m=som.m, weights=w, labels=som.labels, trained=som.trained)
 
 
-def _majority_labels(
-    som_m: int,
-    winners: list[int],
-    classes: list[FingerClass | None],
-) -> tuple[FingerClass | None, ...]:
+def _majority_labels(som_m: int, winners: list[int], classes: list) -> tuple[FingerClass | None, ...]:
     overall = Counter(c for c in classes if c is not None)
     enum_order = {c: i for i, c in enumerate(FingerClass)}
     per_node: dict[int, Counter] = {}
     for node, cls in zip(winners, classes):
         if cls is not None:
             per_node.setdefault(node, Counter())[cls] += 1
-
     labels: list[FingerClass | None] = [None] * (som_m * som_m)
     for node, counts in per_node.items():
-        best = max(
-            counts.items(),
-            key=lambda kv: (kv[1], overall[kv[0]], -enum_order[kv[0]]),
-        )
-        labels[node] = best[0]
+        labels[node] = max(counts, key=lambda cls: (counts[cls], overall[cls], -enum_order[cls]))
     return tuple(labels)
 
 
-def _extract(vectors: list[FeatureVector]):
+def _train(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch, certainties=None) -> SomMap:
+    """The one training loop; ``certainties`` None trains the plain map."""
     if not vectors:
         raise EmptyTrainingSet("no training vectors")
     xs = np.stack([v.directions for v in vectors])
-    cs = np.stack([v.certainties for v in vectors])
-    classes = [v.class_label for v in vectors]
-    return xs, cs, classes
+    cs = [None] * len(xs) if certainties is None else np.stack(certainties)
+    # x_avg and the certainties stay fixed, so every input is blended once.
+    inputs = xs if certainties is None else msom_blend(xs, cs, xs.mean(axis=0))
+    rng = np.random.default_rng(cfg.seed)
+    som = SomMap.initialize(m, cfg, rng=rng)
+    w = som.weights  # updated in place, so the winner search sees every step
+
+    for t in range(cfg.epochs):
+        rate = cfg.learning_rate(t)
+        radius = cfg.radius(t, m)
+        before = w.copy()
+        for i in rng.permutation(len(xs)):
+            _move_window(w, m, inputs[i], cs[i], msom_find_winner(som, inputs[i], cs[i]), radius, rate)
+        if on_epoch is not None:
+            on_epoch(t, w.copy())
+        if float(np.max(np.abs(w - before))) < CONVERGENCE_EPS:
+            break
+
+    # Nodes are labelled from the raw, unblended vectors.
+    winners = [msom_find_winner(som, x, c) for x, c in zip(xs, cs)]
+    som.labels = _majority_labels(m, winners, [v.class_label for v in vectors])
+    som.trained = True
+    return som
 
 
 def train_som(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch=None) -> SomMap:
@@ -172,67 +186,17 @@ def train_som(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch=N
     Nodes are then labeled by the majority class of the vectors they win.
     ``on_epoch(t, weights)`` is called with a snapshot after each epoch.
     """
-    xs, _, classes = _extract(vectors)
-    rng = np.random.default_rng(cfg.seed)
-    som = SomMap.initialize(m, cfg, rng=rng)
-    w = som.weights
-    x_avg = xs.mean(axis=0)
-
-    for t in range(cfg.epochs):
-        rate = cfg.learning_rate(t)
-        radius = cfg.radius(t, m)
-        before = w.copy()
-        for i in rng.permutation(len(xs)):
-            x = xs[i]
-            diff = x - w
-            winner = int(np.argmin((diff * diff).sum(axis=1)))
-            mask = _window_mask(m, winner, radius)
-            w[mask] += rate * (x - w[mask])
-        if on_epoch is not None:
-            on_epoch(t, w.copy())
-        if float(np.max(np.abs(w - before))) < CONVERGENCE_EPS:
-            break
-
-    som = SomMap(m=m, weights=w, labels=(None,) * (m * m), x_avg=x_avg, trained=True)
-    winners = [find_winner(som, x) for x in xs]
-    som.labels = _majority_labels(m, winners, classes)
-    return som
+    return _train(vectors, m, cfg, on_epoch)
 
 
 def train_msom(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch=None) -> SomMap:
-    """Train the certainty-weighted map. Weights always start at zero.
-
-    The training mean x_avg is computed once before the first epoch; each
-    input is blended toward it where certainty is low, the winner uses the
-    weighted norm, and each component's update is scaled by its certainty.
-    ``on_epoch(t, weights)`` is called with a snapshot after each epoch.
+    """Train the certainty-weighted map from zero weights: ``train_som`` with
+    each input blended toward the training mean x_avg where certainty is low,
+    the weighted winner norm, and each component's update scaled by its
+    certainty. Certainties outside [0, 1] raise ValueError before the first
+    epoch. ``on_epoch`` is called as in ``train_som``.
     """
-    xs, cs, classes = _extract(vectors)
-    rng = np.random.default_rng(cfg.seed)
-    som = SomMap.initialize(m, replace(cfg, init_mode=InitMode.ZERO), rng=rng)
-    w = som.weights
-    x_avg = xs.mean(axis=0)
-
-    for t in range(cfg.epochs):
-        rate = cfg.learning_rate(t)
-        radius = cfg.radius(t, m)
-        before = w.copy()
-        for i in rng.permutation(len(xs)):
-            c = cs[i]
-            x = c * xs[i] + (1.0 - c) * x_avg
-            diff = (x - w) * c
-            winner = int(np.argmin((diff * diff).sum(axis=1)))
-            mask = _window_mask(m, winner, radius)
-            w[mask] += rate * (x - w[mask]) * c
-        if on_epoch is not None:
-            on_epoch(t, w.copy())
-        if float(np.max(np.abs(w - before))) < CONVERGENCE_EPS:
-            break
-
-    som = SomMap(m=m, weights=w, labels=(None,) * (m * m), x_avg=x_avg, trained=True)
-    winners = [msom_find_winner(som, xs[i], cs[i]) for i in range(len(xs))]
-    som.labels = _majority_labels(m, winners, classes)
-    return som
+    return _train(vectors, m, replace(cfg, init_mode=InitMode.ZERO), on_epoch, [v.certainties for v in vectors])
 
 
 def classify(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> tuple[FingerClass, int]:
@@ -245,26 +209,24 @@ def classify(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> tuple[F
         raise UntrainedMap("map has not been trained")
     if all(lbl is None for lbl in som.labels):
         raise UntrainedMap("map carries no class labels")
-    winner = find_winner(som, x) if c is None else msom_find_winner(som, x, c)
+    winner = msom_find_winner(som, x, c)
     label = som.labels[winner]
     if label is None:
         wr, wc = som.node_coords(winner)
-        best = min(
-            (j for j, lbl in enumerate(som.labels) if lbl is not None),
-            key=lambda j: (max(abs(j // som.m - wr), abs(j % som.m - wc)), j),
-        )
-        label = som.labels[best]
+        labeled = (j for j, lbl in enumerate(som.labels) if lbl is not None)
+        label = som.labels[min(labeled, key=lambda j: (max(abs(j // som.m - wr), abs(j % som.m - wc)), j))]
     return label, winner
 
 
 def quantization_error(som: SomMap, vectors: list[FeatureVector]) -> float:
     """Mean distance from each vector to its winning node's weights."""
-    xs, _, _ = _extract(vectors)
+    if not vectors:
+        raise EmptyTrainingSet("no training vectors")
     total = 0.0
-    for x in xs:
-        diff = x - som.weights
+    for v in vectors:
+        diff = v.directions - som.weights
         total += math.sqrt(float((diff * diff).sum(axis=1).min()))
-    return total / len(xs)
+    return total / len(vectors)
 
 
 # --- map file format ---------------------------------------------------------
@@ -284,26 +246,29 @@ def save_som(som: SomMap, path) -> None:
 
 
 def load_som(path) -> SomMap:
-    """Read a map file; the loaded map is marked trained, x_avg zeros."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 3 or header[0] != "SOM1":
-        raise ValueError("not a SOM1 map file")
-    m = int(header[1].removeprefix("m="))
-    dim = int(header[2].removeprefix("dim="))
-    if dim != FEATURE_LEN:
-        raise ValueError(f"unsupported vector dimension {dim}")
-    n = m * m
-    by_value = {fc.value: fc for fc in FingerClass}
-    labels = []
-    for line in lines[1 : 1 + n]:
-        s = line.strip()
-        if s != _UNLABELED and s not in by_value:
-            raise FingerprintError(f"unknown class label {s!r} in SOM1 map")
-        labels.append(None if s == _UNLABELED else by_value[s])
-    values = " ".join(lines[1 + n : 1 + 2 * n]).split()
-    if len(values) != n * FEATURE_LEN:
-        raise FingerprintError("SOM1 weight count does not match m and dim")
-    w = np.array([float(v) for v in values], dtype=np.float64).reshape(n, FEATURE_LEN)
-    return SomMap(m=m, weights=w, labels=tuple(labels), x_avg=np.zeros(FEATURE_LEN), trained=True)
+    """Read a map file; the loaded map is marked trained. A malformed file
+    raises FingerprintError."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        header = lines[0].split() if lines else []
+        if len(header) != 3 or header[0] != "SOM1":
+            raise FingerprintError("not a SOM1 map file")
+        m = int(header[1].removeprefix("m="))
+        dim = int(header[2].removeprefix("dim="))
+        if dim != FEATURE_LEN:
+            raise FingerprintError(f"unsupported vector dimension {dim}")
+        n = m * m
+        by_value = {fc.value: fc for fc in FingerClass}
+        labels = []
+        for line in lines[1 : 1 + n]:
+            s = line.strip()
+            if s != _UNLABELED and s not in by_value:
+                raise FingerprintError(f"unknown class label {s!r} in SOM1 map")
+            labels.append(None if s == _UNLABELED else by_value[s])
+        values = " ".join(lines[1 + n : 1 + 2 * n]).split()
+        if len(values) != n * FEATURE_LEN:
+            raise FingerprintError("SOM1 weight count does not match m and dim")
+        w = np.array([float(v) for v in values], dtype=np.float64).reshape(n, FEATURE_LEN)
+        return SomMap(m=m, weights=w, labels=tuple(labels), trained=True)
+    except ValueError as exc:
+        raise FingerprintError(f"malformed SOM1 map: {exc}") from exc

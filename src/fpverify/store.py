@@ -224,7 +224,9 @@ class TemplateStore:
         """Run the pipeline on an impression and persist the template."""
         if record_id in self._index:
             raise DuplicateId(f"id {record_id!r} already enrolled")
-        if not record_id or any(ch in record_id for ch in "\t\n/\\"):
+        # The manifest is read with str.splitlines, so an id may hold none of
+        # the characters it splits on.
+        if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\"):
             raise FingerprintError(f"record id {record_id!r} not storable")
         sig = compute_signature(mset, k=k, core=core)
         relative = MinutiaeSet(

@@ -219,31 +219,34 @@ def save_orientation_field(field: OrientationField, path, core: CorePoint | None
 
 
 def load_orientation_field(source) -> tuple[OrientationField, CorePoint | None]:
-    """Read an OF1 file from a path, text, or bytes."""
+    """Read an OF1 file from a path, text, or bytes. A malformed file raises
+    FingerprintError."""
     from pathlib import Path
 
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith("OF1"):
-        text = source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "OF1":
-        raise ValueError("not an OF1 orientation-field file")
-    cols, rows, bs = int(header[1]), int(header[2]), int(header[3])
-    cursor = 1
-    core = None
-    if len(lines) > cursor and lines[cursor].startswith("CORE"):
-        _, xs, ys = lines[cursor].split()
-        core = CorePoint(float(xs), float(ys))
-        cursor += 1
-    values = " ".join(lines[cursor:]).split()
-    if len(values) != 2 * rows * cols:
-        raise FingerprintError(f"OF1 file holds {len(values)} values, needs {2 * rows * cols}")
-    data = np.array([float(v) for v in values], dtype=np.float64)
-    directions = data[: rows * cols].reshape(rows, cols)
-    certainties = data[rows * cols :].reshape(rows, cols)
-    field = OrientationField(directions=directions, certainties=certainties, block_size=bs)
-    return field, core
+    try:
+        if isinstance(source, bytes):
+            text = source.decode("utf-8")
+        elif isinstance(source, str) and source.lstrip().startswith("OF1"):
+            text = source
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+        lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+        header = lines[0].split() if lines else []
+        if len(header) != 4 or header[0] != "OF1":
+            raise FingerprintError("not an OF1 orientation-field file")
+        cols, rows, bs = int(header[1]), int(header[2]), int(header[3])
+        cursor = 1
+        core = None
+        if len(lines) > cursor and lines[cursor].startswith("CORE"):
+            _, xs, ys = lines[cursor].split()
+            core = CorePoint(float(xs), float(ys))
+            cursor += 1
+        values = " ".join(lines[cursor:]).split()
+        if len(values) != 2 * rows * cols:
+            raise FingerprintError(f"OF1 file holds {len(values)} values, needs {2 * rows * cols}")
+        data = np.array([float(v) for v in values], dtype=np.float64)
+        directions = data[: rows * cols].reshape(rows, cols)
+        certainties = data[rows * cols :].reshape(rows, cols)
+        return OrientationField(directions=directions, certainties=certainties, block_size=bs), core
+    except ValueError as exc:
+        raise FingerprintError(f"malformed OF1 file: {exc}") from exc

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpverify.errors import EmptyTrainingSet, UntrainedMap
+from fpverify.errors import EmptyTrainingSet, FingerprintError, UntrainedMap
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass
 from fpverify.som import (
     InitMode,
@@ -41,13 +41,13 @@ def toy_map(weights_rows, m=None):
     w = np.asarray(weights_rows, dtype=float)
     n = w.shape[0]
     m = m if m is not None else int(np.sqrt(n))
-    return SomMap(m=m, weights=w, labels=(None,) * n, x_avg=np.zeros(FEATURE_LEN))
+    return SomMap(m=m, weights=w, labels=(None,) * n)
 
 
 class TestFindWinner:
     def test_two_node_map(self):
         w = np.stack([np.zeros(FEATURE_LEN), np.ones(FEATURE_LEN)])
-        som = SomMap(m=2, weights=np.vstack([w, w]), labels=(None,) * 4, x_avg=np.zeros(FEATURE_LEN))
+        som = SomMap(m=2, weights=np.vstack([w, w]), labels=(None,) * 4)
         x = np.full(FEATURE_LEN, 0.1)
         assert find_winner(som, x) == 0
 
@@ -159,6 +159,14 @@ class TestTraining:
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.labels == m2.labels
 
+    def test_one_epoch_on_one_vector_is_one_update_step(self):
+        # The trainer and the public single-step API take bitwise the same step.
+        x = cluster_vectors(np.full(FEATURE_LEN, 1.0), 1, 0.3, 17, FingerClass.ARCH)[0]
+        cfg = TrainConfig(epochs=1, seed=5)
+        start = SomMap.initialize(4, cfg)
+        step = update_weights(start, x.directions, find_winner(start, x.directions), 0, cfg)
+        assert np.array_equal(train_som([x], 4, cfg).weights, step.weights)
+
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train_som([], 3, TrainConfig())
@@ -204,6 +212,16 @@ class TestMsomTraining:
         som = train_msom(vecs, 3, TrainConfig(epochs=10, seed=0))
         assert np.all(som.weights[:, 17] == 0.0)
 
+    def test_certainty_above_one_rejected_before_first_epoch(self):
+        vecs = cluster_vectors(np.full(FEATURE_LEN, 1.0), 4, 0.2, 41, FingerClass.ARCH)
+        c = np.ones(FEATURE_LEN)
+        c[3] = 1.5
+        vecs.append(FeatureVector(directions=vecs[0].directions, certainties=c, class_label=FingerClass.ARCH))
+        epochs = []
+        with pytest.raises(ValueError, match="certainties"):
+            train_msom(vecs, 3, TrainConfig(epochs=5), on_epoch=lambda t, w: epochs.append(t))
+        assert epochs == []
+
     def test_identical_seed_identical_map(self):
         vecs = cluster_vectors(np.full(FEATURE_LEN, 2.0), 10, 0.2, 31, FingerClass.WHORL)
         m1 = train_msom(vecs, 3, TrainConfig(epochs=12, seed=4))
@@ -224,7 +242,6 @@ class TestClassify:
             m=3,
             weights=w,
             labels=tuple([FingerClass.WHORL] + [FingerClass.ARCH] * 8),
-            x_avg=np.zeros(FEATURE_LEN),
             trained=True,
         )
         label, node = classify(som, w[0])
@@ -235,7 +252,6 @@ class TestClassify:
             m=2,
             weights=np.random.default_rng(1).uniform(0, 1, (4, FEATURE_LEN)),
             labels=(FingerClass.ARCH,) * 4,
-            x_avg=np.zeros(FEATURE_LEN),
             trained=True,
         )
         assert classify(som, np.full(FEATURE_LEN, 0.5))[0] is FingerClass.ARCH
@@ -245,7 +261,7 @@ class TestClassify:
         w[4] = 0.0  # winner for x=0, unlabeled
         labels = [None] * 9
         labels[8] = FingerClass.TENTED_ARCH  # grid (2,2), Chebyshev 1 from (1,1)
-        som = SomMap(m=3, weights=w, labels=tuple(labels), x_avg=np.zeros(FEATURE_LEN), trained=True)
+        som = SomMap(m=3, weights=w, labels=tuple(labels), trained=True)
         label, node = classify(som, np.zeros(FEATURE_LEN))
         assert node == 4 and label is FingerClass.TENTED_ARCH
 
@@ -287,8 +303,24 @@ class TestMapFile:
         again = load_som(path)
         assert np.array_equal(again.weights, loaded.weights)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SOM1 m=x dim=256\n",
+            "SOM1 m=-2 dim=256\n" + "arch\n" * 4 + ("0 " * 255 + "0\n") * 4,
+            "SOM1 m=2 dim=256\n" + "-\n" * 4 + ("0 " * 255 + "zero\n") + ("0 " * 255 + "0\n") * 3,
+        ],
+        ids=["side", "negative-side", "weight"],
+    )
+    def test_malformed_map_raises_fingerprint_error(self, tmp_path, text):
+        # A bad header is test_rejects_bad_header.
+        p = tmp_path / "bad.som"
+        p.write_text(text)
+        with pytest.raises(FingerprintError):
+            load_som(p)
+
     def test_rejects_bad_header(self, tmp_path):
         p = tmp_path / "bad.som"
         p.write_text("SOM9 m=3 dim=256\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FingerprintError):
             load_som(p)

@@ -42,6 +42,16 @@ class TestEnroll:
         with pytest.raises(DuplicateId):
             store.enroll(finger(2), "a")
 
+    @pytest.mark.parametrize("sep", ["\r", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_id_with_line_separator_rejected(self, tmp_path, sep):
+        # The manifest is split with str.splitlines; such an id would tear it.
+        store = TemplateStore(tmp_path / "db")
+        store.enroll(finger(1), "good")
+        with pytest.raises(FingerprintError):
+            store.enroll(finger(2), f"bad{sep}id")
+        assert TemplateStore(tmp_path / "db").ids() == ["good"]
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["good.rec", "manifest.txt"]
+
     def test_same_file_same_index_key(self, store):
         s = finger(3)
         r1 = store.enroll(s, "x1")

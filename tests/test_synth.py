@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpverify.core import CorePoint
-from fpverify.errors import ConfigInfeasible
+from fpverify.errors import ConfigInfeasible, FingerprintError
 from fpverify.orientation import FingerClass, OrientationField
 from fpverify.synth import (
     DISK_CENTER,
@@ -171,6 +171,20 @@ class TestFieldFile:
         save_orientation_field(loaded, p, core=loaded_core)
         again, _ = load_orientation_field(p)
         assert np.array_equal(again.directions, loaded.directions)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "OF1 x 2 16\n0 0\n1 1\n",
+            "OF1 2 1 16\nCORE 5\n0 0\n1 1\n",
+            "OF1 2 1 16\n0 zero\n1 1\n",
+            "OF1 2 1 16\n0 9\n1 1\n",
+        ],
+        ids=["header", "core", "value", "direction"],
+    )
+    def test_malformed_field_raises_fingerprint_error(self, text):
+        with pytest.raises(FingerprintError):
+            load_orientation_field(text)
 
     def test_no_core_line(self, tmp_path):
         field, _ = gen_synthetic_orientation(SynthConfig(seed=8))
