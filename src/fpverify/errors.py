@@ -29,6 +29,10 @@ class EmptySet(FingerprintError):
     """An operation that requires points received an empty set."""
 
 
+class BadThreshold(FingerprintError):
+    """The MHD threshold tau is not a positive finite number."""
+
+
 class ImageTooSmall(FingerprintError):
     """Image is smaller than one 16x16 block."""
 

@@ -17,8 +17,11 @@ Verification walks three gates in order and records each in a trace:
 ``decide`` is the one accept rule (all three gates pass) behind ``verify``,
 each ``identify`` candidate, the CLI tag and every ``evaluate`` threshold.
 Gate 3 scores all candidate rotations (angle differences of similar-radius
-point pairs, so a pure rotation aligns exactly) in batched calls of the
-``matching`` kernel, so the MHD it minimizes is, to the bit, the one reported.
+point pairs, so a pure rotation aligns exactly) in one call of the
+``matching`` kernel on the batch of rotated probes, so the MHD it minimizes is,
+to the bit, the one reported. The kernel bounds that batch's tables by taking
+the template a block of points at a time: one point, for the ~200 candidates
+of a 30-point pair.
 """
 
 from __future__ import annotations
@@ -49,15 +52,11 @@ from .graph import (
     fingerprint_distance,
     index_string,
 )
-from .matching import DEFAULT_TAU, Decision, MatchScore, mhd_of, nearest_distances, score_point_sets
+from .matching import DEFAULT_TAU, Decision, MatchScore, check_tau, mhd_of, nearest_distances, score_point_sets
 from .orientation import FingerClass
 
 DEFAULT_K = 5
 ALIGN_RADIUS_BAND = 10.0
-# Gate 3 scores candidate rotations in chunks whose distance tables hold at
-# most this many entries (32 KiB): one table over all ~200 candidates (1-2 MB)
-# needed fresh pages on each call, and its cost varied from run to run.
-ALIGN_TABLE_ENTRIES = 4096
 
 _MANIFEST = "manifest.txt"
 
@@ -151,12 +150,7 @@ def best_rotation_alignment(
 
     cos = np.array([math.cos(a) for a in candidates.tolist()])[:, None]
     sin = np.array([math.sin(a) for a in candidates.tolist()])[:, None]
-    step = max(1, ALIGN_TABLE_ENTRIES // (len(probe) * len(template)))
-    chunks = [
-        nearest_distances(_rotate(probe, cos[i : i + step], sin[i : i + step]), template)
-        for i in range(0, len(candidates), step)
-    ]
-    mhds = mhd_of(*(np.concatenate(d) for d in zip(*chunks)))
+    mhds = mhd_of(*nearest_distances(_rotate(probe, cos, sin), template))
     best = int(np.argmin(mhds))
     return float(candidates[best]), float(mhds[best])
 
@@ -286,6 +280,7 @@ class TemplateStore:
         Each decision is the one ``verify`` gives for that id. An empty list
         is a valid result: nothing shares the probe's bucket.
         """
+        check_tau(tau)  # an empty bucket scores nothing, so check here too
         probe_sig = compute_signature(probe, k=k, core=core)
         results: list[tuple[str, MatchScore]] = []
         for rid in self.bucket(probe_sig.index_key):

@@ -190,6 +190,18 @@ class TestBadInput:
         assert run("classify", "--map", map_path, header_only) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
+    def test_bad_tau_is_data_error(self, tmp_path, probe_file, tau, capsys):
+        # Exit 1 would read as "Reject"; a threshold that is not a positive
+        # finite number is bad input, for a scored pair and an empty bucket.
+        store = tmp_path / "db"
+        run("enroll", "--store", store, "--id", "a", probe_file)
+        capsys.readouterr()
+        assert run("verify", "--store", store, "--id", "a", "--tau", tau, probe_file) == 3
+        assert "tau" in capsys.readouterr().err
+        assert run("identify", "--store", store, "--tau", tau, probe_file) == 3
+        assert run("identify", "--store", tmp_path / "empty", "--tau", tau, probe_file) == 3
+
 
 class TestEvalCommand:
     def test_eval_scenario(self, tmp_path, capsys):

@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpverify.matching as matching_module
 from fpverify.core import CorePoint, Minutia, MinutiaeSet
-from fpverify.errors import EmptySet, MissingCore
+from fpverify.errors import BadThreshold, EmptySet, MissingCore
 from fpverify.matching import (
     Decision,
     directed_hausdorff,
     hausdorff,
     match_decision,
+    mhd_of,
     modified_hausdorff,
+    nearest_distances,
     score_point_sets,
 )
 
@@ -76,11 +79,14 @@ class TestDirectedHausdorff:
         with pytest.raises(EmptySet):
             directed_hausdorff([], [(0, 0)])
 
-    def test_agrees_with_oracle_exactly(self):
+    def test_agrees_with_oracle_exactly(self, monkeypatch):
+        # Under any table budget: one point of b per block, or all of them.
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            a, b = random_pair(rng)
-            assert directed_hausdorff(a, b) == oracle_directed(a.tolist(), b.tolist())
+        pairs = [random_pair(rng) for _ in range(100)]
+        for entries in (matching_module.TABLE_ENTRIES, 1, 10**9):
+            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
+            for a, b in pairs:
+                assert directed_hausdorff(a, b) == oracle_directed(a.tolist(), b.tolist())
 
 
 class TestHausdorff:
@@ -116,11 +122,29 @@ class TestModifiedHausdorff:
         assert modified_hausdorff([(0.0, 0.0)], [(3.0, 4.0)]) == 5.0
         assert hausdorff([(0.0, 0.0)], [(3.0, 4.0)]) == 5.0
 
-    def test_agrees_with_oracle_exactly(self):
+    def test_agrees_with_oracle_exactly(self, monkeypatch):
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            a, b = random_pair(rng)
-            assert modified_hausdorff(a, b) == oracle_mhd(a.tolist(), b.tolist())
+        pairs = [random_pair(rng) for _ in range(100)]
+        for entries in (matching_module.TABLE_ENTRIES, 1, 10**9):
+            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
+            for a, b in pairs:
+                assert modified_hausdorff(a, b) == oracle_mhd(a.tolist(), b.tolist())
+
+    def test_batch_rows_equal_single_sets(self):
+        # 7 sets of 13 points take b in blocks of 4096 // 91 = 45 points, so
+        # 100 points of b end in a partial block; each set alone takes b in
+        # one block. Every row is the single-set call, to the bit.
+        rng = np.random.default_rng(11)
+        batch = rng.uniform(-200, 200, size=(7, 13, 2))
+        b = rng.uniform(-200, 200, size=(100, 2))
+        assert len(b) % (matching_module.TABLE_ENTRIES // (7 * 13)) != 0
+        a_to_b, b_to_a = nearest_distances(batch, b)
+        mhds = mhd_of(a_to_b, b_to_a)
+        for row, a in enumerate(batch):
+            single = nearest_distances(a, b)
+            assert np.array_equal(a_to_b[row], single[0])
+            assert np.array_equal(b_to_a[row], single[1])
+            assert mhds[row] == oracle_mhd(a.tolist(), b.tolist())
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -171,6 +195,14 @@ class TestMatchDecision:
         probe = self._mset([(0.0, 0.0), (1.0, 0.0)])
         template = self._mset([(500.0, 500.0), (501.0, 500.0)])
         assert match_decision(probe, template, tau=12.0).decision is Decision.REJECT
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        s = self._mset([(1.0, 1.0), (4.0, 5.0)])
+        with pytest.raises(BadThreshold):
+            match_decision(s, s, tau=tau)
+        with pytest.raises(BadThreshold):
+            score_point_sets(s.coords(), s.coords(), tau)
 
     def test_missing_core(self):
         probe = MinutiaeSet(minutiae=(Minutia(0, 0, 0),))

@@ -27,6 +27,20 @@ def finger(seed, n=30):
     return gen_synthetic_minutiae(SynthConfig(n_minutiae=n, seed=seed))
 
 
+def candidate_angles(probe, template, band=10.0):
+    """Gate 3's rotation candidates by a plain loop: the identity, then the
+    angle difference of each probe/template pair, probe point by probe point,
+    whose core distances differ by at most band."""
+    radii = [np.sqrt(p[:, 0] ** 2 + p[:, 1] ** 2) for p in (probe, template)]
+    angles = [np.arctan2(p[:, 1], p[:, 0]) for p in (probe, template)]
+    found = [0.0]
+    for i in range(len(probe)):
+        for j in range(len(template)):
+            if abs(radii[0][i] - radii[1][j]) <= band:
+                found.append(angles[1][j] - angles[0][i])
+    return found
+
+
 class TestEnroll:
     def test_record_fields(self, store):
         s = finger(1, n=10)
@@ -221,9 +235,10 @@ class TestAlignment:
         assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == mhd
 
     def test_chunk_size_does_not_change_the_result(self, monkeypatch):
-        # Candidates are scored a chunk at a time; any chunk size, one
-        # candidate or all of them per call, picks the same angle and MHD.
-        import fpverify.store as store_module
+        # The kernel takes the template a block of points at a time; any
+        # budget, one point per block or all of them, picks the same angle and
+        # MHD as a plain scan that takes the first least MHD over the angles.
+        import fpverify.matching as matching_module
 
         pairs = []
         for seed in range(6):
@@ -231,10 +246,21 @@ class TestAlignment:
             probe = perturb_impression(finger(seed), SynthConfig(seed=2000 + seed, jitter_sigma=1.0))
             pairs.append((to_core_relative(probe).coords(), template))
         results = []
-        for entries in (1, 900 * 7, store_module.ALIGN_TABLE_ENTRIES, 10**9):
-            monkeypatch.setattr(store_module, "ALIGN_TABLE_ENTRIES", entries)
+        for entries in (1, 900 * 7, matching_module.TABLE_ENTRIES, 10**9):
+            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
             results.append([best_rotation_alignment(p, t) for p, t in pairs])
         assert all(r == results[0] for r in results)
+
+        for (probe, template), found in zip(pairs, results[0]):
+            best = None
+            for angle in candidate_angles(probe, template):
+                c, s = math.cos(angle), math.sin(angle)
+                x, y = probe[:, 0], probe[:, 1]
+                rotated = np.column_stack((x * c - y * s, x * s + y * c))
+                mhd = modified_hausdorff(rotated, template)
+                if best is None or mhd < best[1]:
+                    best = (angle, mhd)
+            assert found == best
 
 
 class TestRecordParsing:
