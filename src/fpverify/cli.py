@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success/Accept, 1 Reject, 2 usage error (argparse), 3 data
-error (unreadable files, unknown ids, infeasible configurations).
+error (unreadable files, unknown ids, infeasible configurations), 4 internal
+error (any other exception: a fault in the program, reported in one line).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -120,6 +122,11 @@ def _cmd_eval(args) -> int:
     taus = None
     if args.taus:
         start, stop, step = (float(v) for v in args.taus.split(":"))
+        # A step <= 0 never reaches stop, and a NaN bound sweeps nothing.
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+            raise FingerprintError(
+                f"--taus needs finite start:stop:step with step > 0, not {args.taus!r}"
+            )
         taus = []
         t = start
         while t <= stop + 1e-9:
@@ -222,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # exit 1 would read as "Reject"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

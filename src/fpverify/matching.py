@@ -12,7 +12,12 @@ over per-pair sqrt(dx*dx + dy*dy) with sequential sums. It takes the second
 set a block of points at a time, keeps the least squared distance of each
 point, and takes sqrt once, of those minima. That is exact: sqrt is correctly
 rounded and monotone, so sqrt(min) == min(sqrt), and a minimum does not depend
-on the order its terms are taken in.
+on the order its terms are taken in. The sets of a batch lie on the last,
+contiguous axis of each table, so the a->b minima are an elementwise
+``np.minimum`` of whole rows and the b->a minima a reduction across rows,
+both passes over contiguous memory. With the sets first, the b->a minima
+would reduce one short, strided row of n values per set, which for the ~200
+rotated probes of gate 3 took longer than the table's arithmetic.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ DEFAULT_TAU = 12.0
 # (32 KiB of float64), or one column when the first set or batch alone has
 # more points. One table over all ~200 rotation candidates of gate 3 (1-2 MB)
 # took fresh pages from the allocator on every call, and its cost varied from
-# run to run; blocked, the ~200 rotated 30-point probes get one ~46 KB table
-# per template point.
+# run to run; blocked, the ~200 rotated 30-point probes get one ~46 KB
+# (1, 30, 200) table per template point, the candidates contiguous.
 TABLE_ENTRIES = 4096
 
 
@@ -52,19 +57,21 @@ def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Nearest-neighbor distances a->b (..., n) and b->a (..., m) between a
     set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2), with
     ``b`` taken in blocks of points whose tables keep to ``TABLE_ENTRIES``."""
-    step = max(1, TABLE_ENTRIES // (a.size // 2))
-    # Contiguous coordinate columns: each block re-reads them.
-    ax, ay = (np.ascontiguousarray(a[..., i])[..., None] for i in (0, 1))
-    a_to_b, b_to_a = None, []
+    # Sets last: (n, C) coordinates of the C sets of the batch. A block of B
+    # points of b gives a (B, n, C) table; ``least`` holds the a->b minima so far.
+    ax, ay = np.ascontiguousarray(a.reshape(-1, a.shape[-2], 2).T)
+    step = max(1, TABLE_ENTRIES // ax.size)
+    least = np.full((min(step, len(b)),) + ax.shape, np.inf)
+    b_to_a = np.empty((len(b), ax.shape[1]))
     for j in range(0, len(b), step):
-        table = np.square(ax - b[j : j + step, 0])
-        dy = ay - b[j : j + step, 1]
+        table = np.square(ax - b[j : j + step, 0, None, None])
+        dy = ay - b[j : j + step, 1, None, None]
         table += np.square(dy, out=dy)
-        rows = table.min(axis=-1)
-        a_to_b = rows if a_to_b is None else np.minimum(a_to_b, rows, out=a_to_b)
-        b_to_a.append(table.min(axis=-2))
+        np.minimum(least[: len(table)], table, out=least[: len(table)])
+        table.min(axis=1, out=b_to_a[j : j + len(table)])
     # Exact: sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt).
-    return np.sqrt(a_to_b, out=a_to_b), np.sqrt(np.concatenate(b_to_a, axis=-1))
+    a_to_b = np.sqrt(least.min(axis=0)).T.reshape(a.shape[:-1])
+    return a_to_b, np.sqrt(b_to_a).T.reshape(a.shape[:-2] + (len(b),))
 
 
 def mhd_of(a_to_b: np.ndarray, b_to_a: np.ndarray) -> np.ndarray:

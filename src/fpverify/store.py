@@ -183,12 +183,18 @@ def gate_trace(
 
 
 class TemplateStore:
-    """Directory-backed template database. Single writer, shareable reads."""
+    """Directory-backed template database. Single writer, shareable reads.
+
+    Records are immutable once enrolled: ``get`` parses each record file
+    once per store object and hands every caller that same record from then
+    on, so a record file edited behind the store's back is not seen again.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._index: dict[str, tuple[str, str]] = {}  # id -> (index_key, filename)
+        self._parsed: dict[str, TemplateRecord] = {}  # filled by get, after a clean parse
         manifest = self.directory / _MANIFEST
         if manifest.exists():
             for line in manifest.read_text(encoding="utf-8").splitlines():
@@ -243,10 +249,14 @@ class TemplateStore:
         return record
 
     def get(self, record_id: str) -> TemplateRecord:
+        if record_id in self._parsed:
+            return self._parsed[record_id]
         if record_id not in self._index:
             raise UnknownId(f"no enrolled record {record_id!r}")
         _, fname = self._index[record_id]
-        return _parse_record((self.directory / fname).read_text(encoding="utf-8"))
+        record = _parse_record((self.directory / fname).read_text(encoding="utf-8"))
+        self._parsed[record_id] = record
+        return record
 
     def verify(
         self,

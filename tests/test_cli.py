@@ -215,3 +215,28 @@ class TestEvalCommand:
         text = report.read_text()
         assert "FAR" in text and "accuracy" in text
         assert run("eval", "--scenario", tmp_path / "missing.scen") == 3
+
+    @pytest.mark.parametrize("taus", ["0:20:0", "0:20:-1", "nan:20:1"])
+    def test_bad_tau_sweep_is_data_error(self, tmp_path, taus, capsys):
+        # A step <= 0 never reaches the stop and used to grow the sweep until
+        # memory ran out; a NaN bound gave an empty sweep without a word.
+        scenario = tmp_path / "s.scen"
+        scenario.write_text("SCEN1\nseed 2\nfingers 5\nn_minutiae 25\nk 3\n")
+        assert run("eval", "--scenario", scenario, "--taus", taus) == 3
+        assert "--taus" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # Exit 1 would read as "Reject": a fault in the program gets its own
+        # code and one line on stderr, not a traceback.
+        import fpverify.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_synth", broken)
+        assert run("synth", "minutiae", "--out", tmp_path / "f.min") == 4
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""

@@ -262,6 +262,14 @@ class TestAlignment:
                     best = (angle, mhd)
             assert found == best
 
+    def test_exact_tie_takes_first_candidate(self):
+        # Candidates [0, 0, pi/2] all rotate the probe's one point onto the
+        # origin, so all three score MHD 2.5; the first one wins.
+        probe = np.array([[0.0, 0.0]])
+        template = np.array([[0.0, 0.0], [0.0, 5.0]])
+        assert candidate_angles(probe, template) == [0.0, 0.0, math.pi / 2]
+        assert best_rotation_alignment(probe, template) == (0.0, 2.5)
+
 
 class TestRecordParsing:
     def test_every_cut_of_a_record_raises(self, store):
@@ -277,3 +285,15 @@ class TestRecordParsing:
                 store.get("a")
         path.write_bytes(full)
         assert np.array_equal(store.get("a").minutiae.coords(), to_core_relative(mset).coords())
+
+    def test_each_record_parsed_once_per_store(self, store, monkeypatch):
+        import fpverify.store as store_module
+
+        store.enroll(finger(1), "a", k=5)
+        calls = []
+        parse = store_module._parse_record
+        monkeypatch.setattr(store_module, "_parse_record", lambda text: calls.append(1) or parse(text))
+        first = store.get("a")
+        assert store.get("a") is first and store.identify(finger(1), k=5)[0][0] == "a"
+        assert len(calls) == 1
+        assert TemplateStore(store.directory).get("a").minutiae == first.minutiae
