@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="rank candidates from the probe's index bucket")
     p.add_argument("--store", required=True)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--k", type=int, default=DEFAULT_K)
+    p.add_argument("--k", type=int, help="default: the k of the store's templates")
     p.add_argument("file")
     p.set_defaults(func=_cmd_identify)
 

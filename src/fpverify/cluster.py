@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorePoint, MinutiaeSet
+from .core import MinutiaeSet
 from .errors import MissingCore, TooFewPoints
 
 MAX_ITERATIONS = 500
@@ -59,7 +59,7 @@ def _dist2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
-def kmeans_fing(mset: MinutiaeSet, k: int, core: CorePoint | None = None) -> ClusterResult:
+def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
     """Lloyd's algorithm over core-relative minutiae with deterministic seeding.
 
     Assignment ties go to the lowest centroid id; an emptied cluster is
@@ -69,16 +69,15 @@ def kmeans_fing(mset: MinutiaeSet, k: int, core: CorePoint | None = None) -> Clu
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    core = core if core is not None else mset.core
-    if core is None:
-        raise MissingCore("k-means needs a core point (file CORE line or caller-supplied)")
+    if mset.core is None:
+        raise MissingCore("k-means needs a core point (the file's CORE line)")
     n = len(mset)
     if n < k:
         raise TooFewPoints(f"{n} minutiae cannot form {k} clusters")
 
     pts = mset.coords()
-    pts[:, 0] -= core.x
-    pts[:, 1] -= core.y
+    pts[:, 0] -= mset.core.x
+    pts[:, 1] -= mset.core.y
 
     centroids = pts[_radial_seed_indices(pts, k)].copy()
     prev_assign: np.ndarray | None = None

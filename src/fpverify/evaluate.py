@@ -10,7 +10,7 @@ into F, a rejected genuine into R, and FAR = F / S * 100 over the S trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,19 +61,7 @@ class ScenarioConfig:
     max_translation: float = 20.0
 
 
-_SCENARIO_FIELDS = {
-    "seed": int,
-    "fingers": int,
-    "n_minutiae": int,
-    "disk_radius": float,
-    "jitter_sigma": float,
-    "k": int,
-    "tau": float,
-    "genuine_pairs": int,
-    "imposter_pairs": int,
-    "max_rotation": float,
-    "max_translation": float,
-}
+_SCENARIO_FIELDS = {f.name: type(f.default) for f in fields(ScenarioConfig)}
 
 
 def parse_scenario(text: str) -> ScenarioConfig:

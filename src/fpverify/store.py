@@ -1,8 +1,11 @@
 """Enrollment store and the end-to-end verification pipeline.
 
 Enrollment runs minutiae -> core-relative k-means -> centroid distance
-matrix -> nearest-neighbor graph -> four-parameter index, and persists one
-text record per template plus a manifest line ``id<TAB>index_key<TAB>file``.
+matrix -> nearest-neighbor graph -> four-parameter index. That template is a
+``Signature``, whether of a probe or of an enrolled print; a stored
+``TemplateRecord`` is a signature plus its id, class and enrollment time.
+The store persists one text record per template plus a manifest line
+``id<TAB>index_key<TAB>file``.
 The manifest alone answers bucket queries, so identification scans it
 without parsing every record.
 
@@ -27,6 +30,7 @@ of a 30-point pair.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +39,6 @@ import numpy as np
 
 from .cluster import kmeans_fing
 from .core import (
-    CorePoint,
     MinutiaeSet,
     fmt_real,
     parse_minutiae,
@@ -44,7 +47,6 @@ from .core import (
 )
 from .errors import DuplicateId, FingerprintError, UnknownId
 from .graph import (
-    GraphIndex,
     MinutiaeGraph,
     build_nn_graph,
     compute_index,
@@ -59,46 +61,37 @@ DEFAULT_K = 5
 ALIGN_RADIUS_BAND = 10.0
 
 _MANIFEST = "manifest.txt"
+_MANIFEST_LINE = re.compile(r"[^\t]+\tV\d+\|[^\t]*\t[^\t]+")  # id, index key, file
 
 
 @dataclass(frozen=True)
 class Signature:
-    """Everything the pipeline derives from one impression."""
+    """The template the three gates compare, derived from one impression."""
 
     graph: MinutiaeGraph
-    index: GraphIndex
     index_key: str
     centroids: np.ndarray  # (k, 2) core-relative
-    relative: MinutiaeSet  # core at (0, 0)
+    minutiae: MinutiaeSet  # core at (0, 0)
 
 
-def compute_signature(mset: MinutiaeSet, k: int = DEFAULT_K, core: CorePoint | None = None) -> Signature:
-    """Run the fine-level pipeline on one impression.
-
-    A caller-supplied core overrides the set's own CORE entry.
-    """
-    if core is not None:
-        mset = MinutiaeSet(minutiae=mset.minutiae, core=core, source_id=mset.source_id)
+def compute_signature(mset: MinutiaeSet, k: int = DEFAULT_K) -> Signature:
+    """Run the fine-level pipeline on one impression, about its own core."""
     clusters = kmeans_fing(mset, k)
     graph = build_nn_graph(dist_matrix(clusters.centroids))
-    idx = compute_index(graph)
     return Signature(
         graph=graph,
-        index=idx,
-        index_key=index_string(idx),
+        index_key=index_string(compute_index(graph)),
         centroids=clusters.centroids,
-        relative=to_core_relative(mset),
+        minutiae=to_core_relative(mset),
     )
 
 
 @dataclass(frozen=True)
-class TemplateRecord:
+class TemplateRecord(Signature):
+    """An enrolled signature: the template plus its id, class and time."""
+
     id: str
     class_label: FingerClass | None
-    index_key: str
-    graph: MinutiaeGraph
-    centroids: np.ndarray
-    minutiae: MinutiaeSet  # core-relative
     enrolled_at: str  # ISO-8601 UTC
 
 
@@ -131,20 +124,18 @@ def _rotate(points: np.ndarray, cos, sin) -> np.ndarray:
     return np.stack((x * cos - y * sin, x * sin + y * cos), axis=-1)
 
 
-def best_rotation_alignment(
-    probe: np.ndarray, template: np.ndarray, radius_band: float = ALIGN_RADIUS_BAND
-) -> tuple[float, float]:
+def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[float, float]:
     """(angle, mhd) minimizing MHD over candidate rotations about the origin.
 
     Candidates are the identity, then angle differences of point pairs whose
-    core distances differ by at most radius_band; the first least MHD wins.
+    core distances differ by at most ALIGN_RADIUS_BAND; first least MHD wins.
     """
     pr = np.sqrt(probe[:, 0] ** 2 + probe[:, 1] ** 2)
     tr = np.sqrt(template[:, 0] ** 2 + template[:, 1] ** 2)
     pa = np.arctan2(probe[:, 1], probe[:, 0])
     ta = np.arctan2(template[:, 1], template[:, 0])
 
-    close = np.abs(pr[:, None] - tr[None, :]) <= radius_band
+    close = np.abs(pr[:, None] - tr[None, :]) <= ALIGN_RADIUS_BAND
     diffs = (ta[None, :] - pa[:, None])[close]
     candidates = np.concatenate(([0.0], diffs))
 
@@ -167,15 +158,14 @@ def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[
 
 
 def gate_trace(
-    probe_sig: Signature, template_sig_or_record, tau: float
+    probe_sig: Signature, template: Signature, tau: float
 ) -> tuple[tuple[GateCheck, ...], MatchScore, float]:
     """Gates, score (decided by ``decide``) and alignment angle for one pair."""
-    t = template_sig_or_record
-    index_ok = probe_sig.index_key == t.index_key
-    iso_ok = fingerprint_distance(probe_sig.graph, t.graph) == 0
+    index_ok = probe_sig.index_key == template.index_key
+    iso_ok = fingerprint_distance(probe_sig.graph, template.graph) == 0
 
-    probe_pts = probe_sig.relative.coords()
-    template_pts = (t.relative if isinstance(t, Signature) else t.minutiae).coords()
+    probe_pts = probe_sig.minutiae.coords()
+    template_pts = template.minutiae.coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
     score = score_point_sets(_rotate(probe_pts, math.cos(angle), math.sin(angle)), template_pts, tau)
     gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
@@ -197,9 +187,15 @@ class TemplateStore:
         self._parsed: dict[str, TemplateRecord] = {}  # filled by get, after a clean parse
         manifest = self.directory / _MANIFEST
         if manifest.exists():
-            for line in manifest.read_text(encoding="utf-8").splitlines():
+            try:
+                text = manifest.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise FingerprintError(f"manifest is not UTF-8 text: {exc}") from exc
+            for number, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
+                if not _MANIFEST_LINE.fullmatch(line):
+                    raise FingerprintError(f"manifest line {number} is not id<TAB>index_key<TAB>file")
                 rec_id, key, fname = line.split("\t")
                 self._index[rec_id] = (key, fname)
 
@@ -219,7 +215,6 @@ class TemplateStore:
         record_id: str,
         k: int = DEFAULT_K,
         class_label: FingerClass | None = None,
-        core: CorePoint | None = None,
     ) -> TemplateRecord:
         """Run the pipeline on an impression and persist the template."""
         if record_id in self._index:
@@ -228,17 +223,14 @@ class TemplateStore:
         # the characters it splits on.
         if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\"):
             raise FingerprintError(f"record id {record_id!r} not storable")
-        sig = compute_signature(mset, k=k, core=core)
-        relative = MinutiaeSet(
-            minutiae=sig.relative.minutiae, core=sig.relative.core, source_id=record_id
-        )
+        sig = compute_signature(mset, k=k)
         record = TemplateRecord(
             id=record_id,
             class_label=class_label,
             index_key=sig.index_key,
             graph=sig.graph,
             centroids=sig.centroids,
-            minutiae=relative,
+            minutiae=replace(sig.minutiae, source_id=record_id),
             enrolled_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         fname = f"{record_id}.rec"
@@ -254,7 +246,11 @@ class TemplateStore:
         if record_id not in self._index:
             raise UnknownId(f"no enrolled record {record_id!r}")
         _, fname = self._index[record_id]
-        record = _parse_record((self.directory / fname).read_text(encoding="utf-8"))
+        try:
+            text = (self.directory / fname).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FingerprintError(f"record {record_id!r} unreadable: {exc}") from exc
+        record = _parse_record(text)
         self._parsed[record_id] = record
         return record
 
@@ -263,12 +259,10 @@ class TemplateStore:
         probe: MinutiaeSet,
         claimed_id: str,
         tau: float = DEFAULT_TAU,
-        k: int | None = None,
-        core: CorePoint | None = None,
     ) -> VerifyResult:
-        """Check the probe against one enrolled template through all gates."""
+        """Check the probe, clustered with the record's k, through all gates."""
         record = self.get(claimed_id)
-        probe_sig = compute_signature(probe, k=k if k is not None else len(record.centroids), core=core)
+        probe_sig = compute_signature(probe, k=len(record.centroids))
         gates, score, angle = gate_trace(probe_sig, record, tau)
         return VerifyResult(
             record_id=claimed_id,
@@ -282,16 +276,23 @@ class TemplateStore:
         self,
         probe: MinutiaeSet,
         tau: float = DEFAULT_TAU,
-        k: int = DEFAULT_K,
-        core: CorePoint | None = None,
+        k: int | None = None,
     ) -> list[tuple[str, MatchScore]]:
         """Score the probe against its index bucket, best (lowest MHD) first.
 
         Each decision is the one ``verify`` gives for that id. An empty list
-        is a valid result: nothing shares the probe's bucket.
+        is a valid result: nothing shares the probe's bucket. Without k the
+        probe is clustered with the k of the store's templates, which must
+        all share one (DEFAULT_K for an empty store).
         """
         check_tau(tau)  # an empty bucket scores nothing, so check here too
-        probe_sig = compute_signature(probe, k=k, core=core)
+        if k is None:  # the V<k> field of the manifest keys
+            ks = sorted({int(key[1 : key.index("|")]) for key, _ in self._index.values()})
+            if len(ks) > 1:
+                named = ", ".join(map(str, ks))
+                raise FingerprintError(f"store holds templates of k = {named}; give one k (--k)")
+            k = ks[0] if ks else DEFAULT_K
+        probe_sig = compute_signature(probe, k=k)
         results: list[tuple[str, MatchScore]] = []
         for rid in self.bucket(probe_sig.index_key):
             record = self.get(rid)

@@ -79,6 +79,27 @@ class TestEnrollVerify:
         assert float(line.split()[2]) <= 1e6
         assert run("verify", "--store", store, "--id", "t", "--tau", 1e6, files[1]) == 1
 
+    def test_identify_takes_k_from_the_store(self, tmp_path, probe_file, capsys):
+        # verify clusters the probe with the record's k; identify without
+        # --k must do the same, not fall back to k=5 and find an empty bucket.
+        store = tmp_path / "db"
+        run("enroll", "--store", store, "--id", "a", "--k", 7, probe_file)
+        capsys.readouterr()
+        assert run("identify", "--store", store, "--tau", 12, probe_file) == 0
+        assert capsys.readouterr().out.startswith("a\tmhd ")
+        assert run("verify", "--store", store, "--id", "a", "--tau", 12, probe_file) == 0
+
+    def test_identify_without_k_on_a_mixed_store_is_data_error(self, tmp_path, probe_file, capsys):
+        store = tmp_path / "db"
+        run("enroll", "--store", store, "--id", "a", "--k", 5, probe_file)
+        run("enroll", "--store", store, "--id", "b", "--k", 7, probe_file)
+        capsys.readouterr()
+        assert run("identify", "--store", store, probe_file) == 3
+        err = capsys.readouterr().err
+        assert "k = 5, 7" in err and "--k" in err
+        assert run("identify", "--store", store, "--k", 7, probe_file) == 0
+        assert capsys.readouterr().out.startswith("b\tmhd ")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run("verify", "--store")

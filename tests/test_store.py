@@ -14,7 +14,7 @@ from fpverify.core import (
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
 from fpverify.matching import Decision, modified_hausdorff
 from fpverify.orientation import FingerClass
-from fpverify.store import TemplateStore, best_rotation_alignment, compute_signature
+from fpverify.store import TemplateStore, best_rotation_alignment, compute_signature, gate_trace
 from fpverify.synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
 
 
@@ -200,6 +200,24 @@ class TestIdentify:
                     assert other_id in candidates
 
 
+class TestEvalAgreesWithStore:
+    def test_gate_trace_of_signatures_is_verify_of_the_record(self, store):
+        # eval compares two fresh signatures; verify compares a fresh probe
+        # signature with a record read back from its file. Both must give the
+        # same gates, score and angle, for accepted and rejected pairs alike.
+        accepted = set()
+        for seed, k in [(0, 3), (1, 3), (2, 5), (3, 5), (4, 7)]:
+            template = finger(400 + seed)
+            store.enroll(template, f"t{seed}", k=k)
+            genuine = perturb_impression(template, SynthConfig(seed=500 + seed, jitter_sigma=1.0))
+            for probe in (template, genuine, finger(600 + seed)):
+                gates, score, angle = gate_trace(compute_signature(probe, k), compute_signature(template, k), 12.0)
+                result = store.verify(probe, f"t{seed}", tau=12.0)
+                assert (result.gates, result.score, result.rotation) == (gates, score, angle)
+                accepted.add(result.accepted)
+        assert accepted == {True, False}
+
+
 class TestAlignment:
     def test_recovers_known_rotation(self):
         rng = np.random.default_rng(3)
@@ -285,6 +303,20 @@ class TestRecordParsing:
                 store.get("a")
         path.write_bytes(full)
         assert np.array_equal(store.get("a").minutiae.coords(), to_core_relative(mset).coords())
+
+    @pytest.mark.parametrize("tail, message", [(b"b\tV5|D1\n", "manifest line 2"), (b"\xff\n", "UTF-8")])
+    def test_malformed_manifest_raises(self, store, tail, message):
+        store.enroll(finger(1), "a")
+        with (store.directory / "manifest.txt").open("ab") as fh:
+            fh.write(tail)
+        with pytest.raises(FingerprintError, match=message):
+            TemplateStore(store.directory)
+
+    def test_missing_record_file_raises(self, store):
+        store.enroll(finger(1), "a")
+        (store.directory / "a.rec").unlink()
+        with pytest.raises(FingerprintError, match="'a'"):
+            store.get("a")
 
     def test_each_record_parsed_once_per_store(self, store, monkeypatch):
         import fpverify.store as store_module
