@@ -75,9 +75,7 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
     if n < k:
         raise TooFewPoints(f"{n} minutiae cannot form {k} clusters")
 
-    pts = mset.coords()
-    pts[:, 0] -= mset.core.x
-    pts[:, 1] -= mset.core.y
+    pts = mset.xy - (mset.core.x, mset.core.y)
 
     centroids = pts[_radial_seed_indices(pts, k)].copy()
     prev_assign: np.ndarray | None = None

@@ -33,6 +33,10 @@ class BadThreshold(FingerprintError):
     """The MHD threshold tau is not a positive finite number."""
 
 
+class MalformedImage(FingerprintError, ValueError):
+    """A PGM image file is malformed. Also a ValueError, for callers that catch that."""
+
+
 class ImageTooSmall(FingerprintError):
     """Image is smaller than one 16x16 block."""
 

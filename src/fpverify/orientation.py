@@ -20,10 +20,9 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .core import CorePoint
-from .errors import ImageTooSmall, NoForeground, LowConfidenceCoreWarning
+from .errors import ImageTooSmall, MalformedImage, NoForeground, LowConfidenceCoreWarning
 
 BLOCK_SIZE = 16
 FEATURE_LEN = 256
@@ -128,9 +127,13 @@ def estimate_block_directions(img: GrayImage, block_size: int = BLOCK_SIZE) -> O
     if img.width < block_size or img.height < block_size:
         raise ImageTooSmall(f"image {img.width}x{img.height} smaller than one block")
 
-    f = img.pixels.astype(np.float64)
-    gx = ndimage.sobel(f, axis=1)
-    gy = ndimage.sobel(f, axis=0)
+    # Sobel with edge pixels mirrored ("symmetric" padding). The pixels are
+    # 8-bit, so every gradient and block sum below is an exact integer.
+    f = np.pad(img.pixels.astype(np.float64), 1, mode="symmetric")
+    dx = f[:, 2:] - f[:, :-2]
+    dy = f[2:, :] - f[:-2, :]
+    gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
+    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
 
     rows = img.height // block_size
     cols = img.width // block_size
@@ -280,34 +283,41 @@ def _pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
     while len(tokens) < count:
         m = _PGM_TOKEN.match(data, pos)
         if not m:
-            raise ValueError("truncated PGM header")
+            raise MalformedImage("truncated PGM file")
         tokens.append(m.group(1))
         pos = m.end()
     return tokens, pos
 
 
 def read_pgm(source) -> GrayImage:
-    """Read a P2 or P5 PGM image (maxval <= 255) from a path or bytes."""
+    """Read a P2 or P5 PGM image (maxval <= 255) from a path or bytes. A
+    malformed image raises MalformedImage."""
     data = source if isinstance(source, bytes) else Path(source).read_bytes()
     (magic,), pos = _pgm_tokens(data, 1, 0)
     if magic not in (b"P2", b"P5"):
-        raise ValueError(f"unsupported PGM magic {magic!r}")
-    (w_tok, h_tok, max_tok), pos = _pgm_tokens(data, 3, pos)
-    width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        raise MalformedImage(f"unsupported PGM magic {magic!r}")
+    header, pos = _pgm_tokens(data, 3, pos)
+    if not all(tok.isdigit() for tok in header):
+        raise MalformedImage("PGM width, height and maxval must be whole numbers")
+    width, height, maxval = map(int, header)
     if not (0 < maxval <= 255):
-        raise ValueError("only 8-bit PGM images are supported")
+        raise MalformedImage("only 8-bit PGM images are supported")
     n = width * height
     if magic == b"P5":
         pos += 1  # single whitespace byte after maxval
         raster = data[pos : pos + n]
         if len(raster) < n:
-            raise ValueError("truncated PGM raster")
+            raise MalformedImage("truncated PGM raster")
         px = np.frombuffer(raster, dtype=np.uint8, count=n)
     else:
         values, _ = _pgm_tokens(data, n, pos)
-        px = np.array([int(v) for v in values], dtype=np.uint8)
+        levels = [int(v) if v.isdigit() else -1 for v in values]
+        # Checked before the uint8 cast, which would raise OverflowError on 300 or -1.
+        if not all(0 <= v <= maxval for v in levels):
+            raise MalformedImage("P2 pixel values must be whole numbers in [0, maxval]")
+        px = np.array(levels, dtype=np.uint8)
     if int(px.max(initial=0)) > maxval:
-        raise ValueError("pixel value exceeds declared maxval")
+        raise MalformedImage("pixel value exceeds declared maxval")
     return GrayImage(width=width, height=height, pixels=px.reshape(height, width))
 
 

@@ -224,13 +224,14 @@ class TemplateStore:
         if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\"):
             raise FingerprintError(f"record id {record_id!r} not storable")
         sig = compute_signature(mset, k=k)
+        m = sig.minutiae  # core-relative
         record = TemplateRecord(
             id=record_id,
             class_label=class_label,
             index_key=sig.index_key,
             graph=sig.graph,
             centroids=sig.centroids,
-            minutiae=replace(sig.minutiae, source_id=record_id),
+            minutiae=MinutiaeSet(xy=m.xy, theta=m.theta, kind=m.kind, core=m.core, source_id=record_id),
             enrolled_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         fname = f"{record_id}.rec"
@@ -251,6 +252,8 @@ class TemplateStore:
         except (OSError, UnicodeDecodeError) as exc:
             raise FingerprintError(f"record {record_id!r} unreadable: {exc}") from exc
         record = _parse_record(text)
+        if record.id != record_id:
+            raise FingerprintError(f"record file {fname!r} holds id {record.id!r}, not {record_id!r}")
         self._parsed[record_id] = record
         return record
 

@@ -12,11 +12,11 @@ what the core detector looks for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CorePoint, Minutia, MinutiaKind, MinutiaeSet, RigidTransform, apply_transform
+from .core import TWO_PI, CorePoint, MinutiaKind, MinutiaeSet, RigidTransform, apply_transform
 from .errors import ConfigInfeasible, FingerprintError
 from .orientation import BLOCK_SIZE, FeatureVector, FingerClass, OrientationField
 
@@ -63,16 +63,11 @@ def gen_synthetic_minutiae(cfg: SynthConfig) -> MinutiaeSet:
         if all((x - px) ** 2 + (y - py) ** 2 >= MIN_SEPARATION**2 for px, py in placed):
             placed.append((x, y))
 
-    minutiae = tuple(
-        Minutia(
-            x=x,
-            y=y,
-            theta=rng.uniform(0.0, 2.0 * math.pi),
-            kind=MinutiaKind.ENDING if rng.uniform() < 0.5 else MinutiaKind.BIFURCATION,
-        )
-        for x, y in placed
-    )
-    return MinutiaeSet(minutiae=minutiae, core=CorePoint(cx, cy), source_id=f"synth-{cfg.seed}")
+    draws = rng.uniform(size=(cfg.n_minutiae, 2))  # per minutia: direction, then kind
+    theta = TWO_PI * draws[:, 0]
+    kind = np.where(draws[:, 1] < 0.5, MinutiaKind.ENDING.value, MinutiaKind.BIFURCATION.value)
+    core = CorePoint(cx, cy)
+    return MinutiaeSet(xy=placed, theta=theta, kind=kind, core=core, source_id=f"synth-{cfg.seed}")
 
 
 def perturb_impression(
@@ -90,17 +85,14 @@ def perturb_impression(
     """
     rng = np.random.default_rng(cfg.seed)
     jitter = rng.normal(0.0, cfg.jitter_sigma, size=(len(mset), 2))
-    jittered = tuple(
-        replace(m, x=m.x + jitter[i, 0], y=m.y + jitter[i, 1])
-        for i, m in enumerate(mset.minutiae)
+    moved = MinutiaeSet(
+        xy=mset.xy + jitter, theta=mset.theta, kind=mset.kind, core=mset.core, source_id=mset.source_id
     )
-    moved = MinutiaeSet(minutiae=jittered, core=mset.core, source_id=mset.source_id)
 
     if mset.core is not None:
         pivot = (mset.core.x, mset.core.y)
     else:
-        coords = mset.coords()
-        pivot = (float(coords[:, 0].mean()), float(coords[:, 1].mean()))
+        pivot = (float(mset.xy[:, 0].mean()), float(mset.xy[:, 1].mean()))
     transform = RigidTransform(
         rotation=rng.uniform(0.0, max_rotation),
         translation=(

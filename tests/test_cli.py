@@ -211,6 +211,17 @@ class TestBadInput:
         assert run("classify", "--map", map_path, header_only) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pixel", ["300", "-1"])
+    def test_p2_pixel_out_of_range_is_data_error(self, tmp_path, pixel, capsys):
+        # The uint8 cast used to raise OverflowError first: exit 4, "internal error".
+        image = tmp_path / "bad.pgm"
+        image.write_text(f"P2\n16 16\n255\n{pixel}" + " 7" * 255 + "\n")
+        listing = tmp_path / "t.lst"
+        listing.write_text(f"{image} arch\n")
+        capsys.readouterr()
+        assert run("train", "--out", tmp_path / "m.som", "--m", 2, "--epochs", 2, listing) == 3
+        assert "P2 pixel values" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
     def test_bad_tau_is_data_error(self, tmp_path, probe_file, tau, capsys):
         # Exit 1 would read as "Reject"; a threshold that is not a positive

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpverify.core import (
+    MAX_COORDINATE,
     CorePoint,
     Minutia,
     MinutiaKind,
@@ -15,6 +17,7 @@ from fpverify.core import (
     parse_minutiae,
     serialize_minutiae,
     to_core_relative,
+    wrap_angle,
 )
 from fpverify.errors import DuplicatePoint, EmptySet, MalformedHeader, MalformedLine
 
@@ -141,6 +144,31 @@ class TestParse:
         with pytest.raises(MalformedLine):
             parse_minutiae(b"MIN1\n1 2 0 E\nCORE 5 5\n")
 
+    def test_non_utf8_bytes_are_a_malformed_header(self):
+        with pytest.raises(MalformedHeader):
+            parse_minutiae(b"MIN1\n1 2 0.5 E\n\xff 4 0.5 E\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"1e308 2 0.5 E\n",
+            b"1 -1.5e100 0.5 E\n",
+            b"1 inf 0.5 E\n",
+            b"CORE 1e308 0\n1 2 0.5 E\n",
+            b"CORE 1e100 0\n-1e90 2 0.5 E\n",
+        ],
+    )
+    def test_coordinates_beyond_the_bound_are_malformed(self, body):
+        with pytest.raises(MalformedLine):
+            parse_minutiae(b"MIN1\n" + body)
+
+    def test_coordinates_at_the_bound_are_accepted(self):
+        bound = MAX_COORDINATE
+        s = parse_minutiae(f"MIN1\nCORE {bound} {-bound}\n0 {-2 * bound} 0.5 E\n".encode())
+        assert s.xy.tolist() == [[0.0, -2 * bound]] and s.core == CorePoint(bound, -bound)
+        rel = to_core_relative(s)
+        assert parse_minutiae(serialize_minutiae(rel, sig_digits=17)) == rel
+
     def test_order_preserved(self):
         s = parse_minutiae(b"MIN1\n5 5 0 E\n1 1 0 E\n3 3 0 E\n")
         assert [m.x for m in s.minutiae] == [5.0, 1.0, 3.0]
@@ -188,3 +216,106 @@ def test_coords_shape():
     s = make_set([(1, 2), (3, 4)])
     assert s.coords().shape == (2, 2)
     assert np.array_equal(s.coords(), [[1, 2], [3, 4]])
+
+
+def oracle_wrap(theta):
+    """The scalar wrap rule: math.fmod, then 2*pi added to a negative remainder."""
+    t = math.fmod(theta, 2 * math.pi)
+    if t < 0.0:
+        t += 2 * math.pi
+    return 0.0 if t >= 2 * math.pi else t
+
+
+def oracle_transform(points, core, t):
+    """apply_transform one minutia at a time, with the left-to-right formula."""
+    r = t.rotation
+    dx, dy = t.translation
+    px, py = t.pivot
+    c, s = math.cos(r), math.sin(r)
+
+    def move(x, y):
+        if r == 0.0:
+            return x + dx, y + dy
+        rx, ry = x - px, y - py
+        return rx * c - ry * s + px + dx, rx * s + ry * c + py + dy
+
+    moved = [(*move(x, y), theta if r == 0.0 else oracle_wrap(theta + r)) for x, y, theta in points]
+    return moved, move(core.x, core.y)
+
+
+EDGE_ANGLES = [0.0, -0.0, 2 * math.pi, -2 * math.pi, -1e-17, np.nextafter(2 * math.pi, 0.0), 1e300, -1e300]
+
+
+def test_array_wrap_angle_is_the_scalar_rule_bit_for_bit():
+    angles = np.concatenate((np.random.default_rng(3).normal(0.0, 20.0, 500), EDGE_ANGLES))
+    expected = [oracle_wrap(float(a)) for a in angles]
+    assert wrap_angle(angles).tobytes() == np.array(expected).tobytes()
+    scalars = [wrap_angle(float(a)) for a in angles]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        RigidTransform(rotation=1.234, translation=(5.5, -3.25), pivot=(10.0, -7.0)),
+        RigidTransform(translation=(3.0, -0.0)),
+    ],
+    ids=["rotation", "translation"],
+)
+def test_apply_transform_is_the_per_minutia_formula_bit_for_bit(transform):
+    rng = np.random.default_rng(4)
+    xy = rng.uniform(-200.0, 200.0, size=(len(EDGE_ANGLES) + 20, 2))
+    theta = np.concatenate((EDGE_ANGLES, rng.uniform(0.0, 2 * math.pi, 20)))
+    minutiae = tuple(Minutia(x, y, t) for (x, y), t in zip(xy.tolist(), theta.tolist()))
+    s = MinutiaeSet(minutiae=minutiae, core=CorePoint(-0.0, 12.5))
+    out = apply_transform(s, transform)
+    moved, core = oracle_transform([(m.x, m.y, m.theta) for m in minutiae], s.core, transform)
+    assert out.xy.tobytes() == np.array([m[:2] for m in moved]).tobytes()
+    assert out.theta.tobytes() == np.array([m[2] for m in moved]).tobytes()
+    assert np.array([out.core.x, out.core.y]).tobytes() == np.array(core).tobytes()
+
+
+class TestMinutiaeSetArrays:
+    @pytest.fixture
+    def s(self):
+        return parse_minutiae(b"MIN1\nCORE 5 5\n1 2 0.5 E\n3 4 1.5 B\n6 7 7.0 E\n", source_id="f")
+
+    def test_arrays_hold_the_minutiae(self, s):
+        assert s.xy.shape == (3, 2) and s.theta[2] == 7.0 - 2 * math.pi
+        assert s.kind.tolist() == ["E", "B", "E"]
+        assert s.minutiae[1] == Minutia(3.0, 4.0, 1.5, MinutiaKind.BIFURCATION)
+
+    def test_replace_minutiae_shortens_the_set(self, s):
+        short = dataclasses.replace(s, minutiae=s.minutiae[:-1])
+        assert len(short) == 2 and (short.core, short.source_id) == (s.core, "f")
+        first_two = MinutiaeSet(minutiae=s.minutiae[:2], core=s.core, source_id="f")
+        assert short == first_two and np.array_equal(short.xy, s.xy[:2])
+
+    def test_replace_source_id_keeps_the_arrays(self, s):
+        renamed = dataclasses.replace(s, source_id="g")
+        assert renamed.source_id == "g" and renamed != s
+        assert renamed == MinutiaeSet(xy=s.xy, theta=s.theta, kind=s.kind, core=s.core, source_id="g")
+
+    def test_arrays_are_read_only(self, s):
+        with pytest.raises(ValueError):
+            s.xy[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            s.theta[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "xy, theta, kind",
+        [
+            ([[1.0, 2.0]], [0.5, 1.0], ["E"]),
+            ([[1.0, math.inf]], [0.5], ["E"]),
+            ([[1.0, 2.0]], [math.nan], ["E"]),
+            ([[1.0, 2.0]], [0.5], ["X"]),
+        ],
+        ids=["rows-differ", "inf-position", "nan-direction", "unknown-kind"],
+    )
+    def test_arrays_are_checked(self, xy, theta, kind):
+        with pytest.raises(ValueError):
+            MinutiaeSet(xy=xy, theta=theta, kind=kind)
+
+    def test_coords_is_the_stored_array(self, s):
+        assert s.coords() is s.xy and s.coords() is s.coords()

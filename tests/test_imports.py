@@ -3,10 +3,15 @@
 The check is a plain walk over each module's syntax tree: an imported name
 counts as used when it appears as a bare name anywhere in the module,
 annotations included. ``__init__.py`` is left out, since it imports names
-only to re-export them.
+only to re-export them. A second check imports the whole package in a fresh
+interpreter and requires that no scipy module gets loaded: numpy is the one
+runtime dependency.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,13 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_module_imports_without_scipy():
+    modules = ", ".join(["fpverify"] + [f"fpverify.{p.stem}" for p in MODULES])
+    code = f"import sys, {modules}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

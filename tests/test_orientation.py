@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fpverify.core import CorePoint
-from fpverify.errors import ImageTooSmall, LowConfidenceCoreWarning, NoForeground
+from fpverify.errors import FingerprintError, ImageTooSmall, LowConfidenceCoreWarning, NoForeground
 from fpverify.orientation import (
     BLOCK_SIZE,
     FeatureVector,
@@ -320,3 +320,12 @@ class TestPgm:
     def test_maxval_limit(self):
         with pytest.raises(ValueError):
             read_pgm(b"P2\n1 1\n65535\n12\n")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P2\n2 1\n255\n7 300\n", b"P2\n2 1\n255\n-1 7\n", b"P2\n2 1\n255\n7\n", b"P5\n2 2\n255\n\x00"],
+        ids=["p2-300", "p2-minus-1", "p2-truncated", "p5-truncated"],
+    )
+    def test_bad_image_is_a_fingerprint_error(self, data):
+        with pytest.raises(FingerprintError):
+            read_pgm(data)

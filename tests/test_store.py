@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fpverify.core import (
+    MAX_COORDINATE,
     CorePoint,
     RigidTransform,
     apply_transform,
@@ -142,6 +143,20 @@ class TestVerify:
         result = store.verify(finger(312), "t", tau=0.0001)
         assert not result.accepted
         assert result.first_failed is not None
+
+    def test_coordinates_at_the_parse_bound_keep_every_distance_finite(self, store):
+        # MIN1 admits a core up to MAX_COORDINATE from the origin and minutiae up
+        # to MAX_COORDINATE from the core. Every squared distance stays finite
+        # there, so no RuntimeWarning (an error under pytest) is raised.
+        rng = np.random.default_rng(8)
+        offsets = rng.uniform(-1.0, 1.0, size=(12, 2)) * MAX_COORDINATE
+        points = (offsets + (MAX_COORDINATE, -MAX_COORDINATE)).tolist()
+        lines = [f"CORE {MAX_COORDINATE} {-MAX_COORDINATE}"] + [f"{x!r} {y!r} 0.5 E" for x, y in points]
+        mset = parse_minutiae("\n".join(["MIN1", *lines]) + "\n")
+        store.enroll(mset, "far", k=3)
+        result = store.verify(mset, "far")
+        assert result.accepted and result.score.mhd == 0.0
+        assert store.identify(mset, k=3)[0][0] == "far"
 
     def test_verify_is_deterministic(self, store):
         s = finger(16)
@@ -329,3 +344,10 @@ class TestRecordParsing:
         assert store.get("a") is first and store.identify(finger(1), k=5)[0][0] == "a"
         assert len(calls) == 1
         assert TemplateStore(store.directory).get("a").minutiae == first.minutiae
+
+    def test_record_holding_another_id_raises(self, store):
+        store.enroll(finger(1), "f0")
+        store.enroll(finger(2), "f1")
+        (store.directory / "f0.rec").write_bytes((store.directory / "f1.rec").read_bytes())
+        with pytest.raises(FingerprintError, match="'f1', not 'f0'"):
+            TemplateStore(store.directory).get("f0")
