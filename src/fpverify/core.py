@@ -144,6 +144,11 @@ class MinutiaeSet:
     def __len__(self) -> int:
         return len(self.xy)
 
+    def __reduce__(self):
+        # Copies and unpickled sets go through the constructor, which makes
+        # their arrays read-only again.
+        return MinutiaeSet, (None, self.core, self.source_id, self.xy, self.theta, self.kind)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

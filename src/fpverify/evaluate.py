@@ -10,12 +10,14 @@ into F, a rejected genuine into R, and FAR = F / S * 100 over the S trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .core import MAX_COORDINATE
 from .errors import EmptyScenario, FingerprintError, ZeroTrials
-from .matching import DEFAULT_TAU, Decision
+from .matching import DEFAULT_TAU, Decision, check_tau
 from .store import DEFAULT_K, compute_signature, decide, gate_trace
 from .synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
 
@@ -60,6 +62,22 @@ class ScenarioConfig:
     max_rotation: float = 2 * np.pi
     max_translation: float = 20.0
 
+    def __post_init__(self):
+        if min(self.seed, self.genuine_pairs, self.imposter_pairs) < 0 or self.fingers < 1:
+            raise FingerprintError("seed and pair counts must be >= 0, fingers >= 1")
+        if not 2 <= self.k <= self.n_minutiae:
+            raise FingerprintError(f"k must lie in [2, n_minutiae], not {self.k}")
+        if not (math.isfinite(self.max_rotation) and 0 <= self.max_translation <= MAX_COORDINATE):
+            raise FingerprintError(f"max_rotation must be finite, max_translation in [0, {MAX_COORDINATE:g}]")
+        check_tau(self.tau)
+        self.synth_config()  # checks n_minutiae, disk_radius and jitter_sigma
+
+    def synth_config(self, seed: int = 0) -> SynthConfig:
+        """The synthesis settings of the scenario's fingers and impressions."""
+        return SynthConfig(
+            n_minutiae=self.n_minutiae, disk_radius=self.disk_radius, jitter_sigma=self.jitter_sigma, seed=seed
+        )
+
 
 _SCENARIO_FIELDS = {f.name: type(f.default) for f in fields(ScenarioConfig)}
 
@@ -77,7 +95,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             values[key] = _SCENARIO_FIELDS[key](raw)
         except (ValueError, KeyError) as exc:
             raise FingerprintError(f"bad scenario line {ln!r}") from exc
-    return ScenarioConfig(**values)
+    return ScenarioConfig(**values)  # raises FingerprintError on a bad value
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:
@@ -113,15 +131,7 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
         raise EmptyScenario("imposter trials need at least two fingers")
 
     seeds = np.random.SeedSequence(scenario.seed).generate_state(scenario.fingers + total)
-    base = SynthConfig(
-        n_minutiae=scenario.n_minutiae,
-        disk_radius=scenario.disk_radius,
-        jitter_sigma=scenario.jitter_sigma,
-    )
-    fingers = [
-        gen_synthetic_minutiae(replace(base, seed=int(seeds[i])))
-        for i in range(scenario.fingers)
-    ]
+    fingers = [gen_synthetic_minutiae(scenario.synth_config(int(seeds[i]))) for i in range(scenario.fingers)]
     signatures = [compute_signature(f, k=scenario.k) for f in fingers]
 
     outcomes: list[TrialOutcome] = []
@@ -136,7 +146,7 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
             p_idx = (t_idx + 1 + trial % (scenario.fingers - 1)) % scenario.fingers
         probe_set = perturb_impression(
             fingers[p_idx],
-            replace(base, seed=seed),
+            scenario.synth_config(seed),
             max_rotation=scenario.max_rotation,
             max_translation=scenario.max_translation,
         )

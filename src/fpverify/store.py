@@ -7,7 +7,12 @@ matrix -> nearest-neighbor graph -> four-parameter index. That template is a
 The store persists one text record per template plus a manifest line
 ``id<TAB>index_key<TAB>file``.
 The manifest alone answers bucket queries, so identification scans it
-without parsing every record.
+without parsing every record. A record (FPREC2) holds only what cannot be
+derived: its id, class, enrollment time, index key and core-relative
+minutiae. Reading one re-derives the centroids, graph and key from the
+minutiae with the k of its key, and raises ``FingerprintError`` unless that
+key is the one on its INDEX line and in the manifest. FPREC1 records, which
+also stored centroids and graph edges, still read; those blocks are skipped.
 
 Verification walks three gates in order and records each in a trace:
 
@@ -38,13 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import kmeans_fing
-from .core import (
-    MinutiaeSet,
-    fmt_real,
-    parse_minutiae,
-    serialize_minutiae,
-    to_core_relative,
-)
+from .core import MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
 from .errors import DuplicateId, FingerprintError, UnknownId
 from .graph import (
     MinutiaeGraph,
@@ -62,6 +61,7 @@ ALIGN_RADIUS_BAND = 10.0
 
 _MANIFEST = "manifest.txt"
 _MANIFEST_LINE = re.compile(r"[^\t]+\tV\d+\|[^\t]*\t[^\t]+")  # id, index key, file
+_INDEX_K = re.compile(r"V(\d+)\|")  # the vertex count that leads an index key
 
 
 @dataclass(frozen=True)
@@ -175,16 +175,17 @@ def gate_trace(
 class TemplateStore:
     """Directory-backed template database. Single writer, shareable reads.
 
-    Records are immutable once enrolled: ``get`` parses each record file
-    once per store object and hands every caller that same record from then
-    on, so a record file edited behind the store's back is not seen again.
+    Records are immutable once enrolled: ``enroll`` keeps the record it
+    wrote, and ``get`` parses each other record file once per store object
+    and hands every caller that same record from then on, so a record file
+    edited behind the store's back is not seen again.
     """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._index: dict[str, tuple[str, str]] = {}  # id -> (index_key, filename)
-        self._parsed: dict[str, TemplateRecord] = {}  # filled by get, after a clean parse
+        self._parsed: dict[str, TemplateRecord] = {}  # filled by enroll, and by get after a clean parse
         manifest = self.directory / _MANIFEST
         if manifest.exists():
             try:
@@ -239,6 +240,7 @@ class TemplateStore:
         with (self.directory / _MANIFEST).open("a", encoding="utf-8") as fh:
             fh.write(f"{record_id}\t{record.index_key}\t{fname}\n")
         self._index[record_id] = (record.index_key, fname)
+        self._parsed[record_id] = record
         return record
 
     def get(self, record_id: str) -> TemplateRecord:
@@ -246,7 +248,7 @@ class TemplateStore:
             return self._parsed[record_id]
         if record_id not in self._index:
             raise UnknownId(f"no enrolled record {record_id!r}")
-        _, fname = self._index[record_id]
+        key, fname = self._index[record_id]
         try:
             text = (self.directory / fname).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -254,6 +256,8 @@ class TemplateStore:
         record = _parse_record(text)
         if record.id != record_id:
             raise FingerprintError(f"record file {fname!r} holds id {record.id!r}, not {record_id!r}")
+        if record.index_key != key:
+            raise FingerprintError(f"record {record_id!r} has index key {record.index_key!r}, manifest {key!r}")
         self._parsed[record_id] = record
         return record
 
@@ -312,29 +316,25 @@ def _record_text(rec: TemplateRecord) -> str:
     # Records keep full float precision (17 significant digits) so a
     # verified probe sees exactly the coordinates that were enrolled; the
     # 9-digit default stays reserved for the external MIN1 interchange.
-    lines = ["FPREC1"]
-    lines.append(f"ID {rec.id}")
-    lines.append(f"CLASS {rec.class_label.value if rec.class_label else '-'}")
-    lines.append(f"INDEX {rec.index_key}")
-    lines.append(f"ENROLLED {rec.enrolled_at}")
-    lines.append(f"CENTROIDS {len(rec.centroids)}")
-    for x, y in rec.centroids:
-        lines.append(f"{fmt_real(x, 17)} {fmt_real(y, 17)}")
-    edges = sorted(rec.graph.edges)
-    lines.append(f"EDGES {len(edges)}")
-    for a, b in edges:
-        lines.append(f"{a} {b}")
     min_block = serialize_minutiae(rec.minutiae, sig_digits=17).decode("utf-8")
-    lines.append(f"MINUTIAE {len(min_block.splitlines())}")
-    lines.append(min_block.rstrip("\n"))
+    lines = [
+        "FPREC2",
+        f"ID {rec.id}",
+        f"CLASS {rec.class_label.value if rec.class_label else '-'}",
+        f"INDEX {rec.index_key}",
+        f"ENROLLED {rec.enrolled_at}",
+        f"MINUTIAE {len(min_block.splitlines())}",
+        min_block.rstrip("\n"),
+    ]
     return "\n".join(lines) + "\n"
 
 
 def _parse_record(text: str) -> TemplateRecord:
-    """Parse an FPREC1 record; a record cut short or malformed anywhere
-    raises FingerprintError, never a partial template."""
+    """Parse an FPREC2 (or FPREC1) record and derive its template from the
+    minutiae; a record cut short, malformed anywhere, or whose INDEX is not
+    the key of its minutiae raises FingerprintError, never a partial template."""
     lines = text.splitlines()
-    if not lines or lines[0] != "FPREC1":
+    if not lines or lines[0] not in ("FPREC1", "FPREC2"):
         raise FingerprintError("not a template record file")
     if not text.endswith("\n"):
         raise FingerprintError("template record is cut short: no final newline")
@@ -355,36 +355,25 @@ def _parse_record(text: str) -> TemplateRecord:
         pos += int(count)
         return lines[pos - int(count) : pos]
 
-    def pairs(tag: str, convert) -> list[tuple]:
-        rows = [line.split() for line in block(tag)]
-        if any(len(row) != 2 for row in rows):
-            raise FingerprintError(f"each {tag} line must hold two values")
-        return [(convert(a), convert(b)) for a, b in rows]
-
-    try:
-        rec_id = take("ID")
-        cls_text = take("CLASS")
-        class_label = None if cls_text == "-" else FingerClass(cls_text)
-        index_key = take("INDEX")
-        enrolled_at = take("ENROLLED")
-        centroids = np.array(pairs("CENTROIDS", float), dtype=np.float64).reshape(-1, 2)
-        edges = frozenset(pairs("EDGES", int))
-        if any(not 0 <= v < len(centroids) for edge in edges for v in edge):
-            raise FingerprintError("record edge names a missing centroid")
-        graph = MinutiaeGraph(vertices=tuple(range(len(centroids))), edges=edges)
-    except ValueError as exc:
-        raise FingerprintError(f"malformed template record: {exc}") from exc
+    rec_id = take("ID")
+    cls_text = take("CLASS")
+    index_key = take("INDEX")
+    enrolled_at = take("ENROLLED")
+    if lines[0] == "FPREC1":  # derived blocks, never trusted
+        block("CENTROIDS")
+        block("EDGES")
     min_block = block("MINUTIAE")
     if pos != len(lines):
         raise FingerprintError("template record has lines after its MINUTIAE block")
-    minutiae = parse_minutiae("\n".join(min_block) + "\n", source_id=rec_id)
-
-    return TemplateRecord(
-        id=rec_id,
-        class_label=class_label,
-        index_key=index_key,
-        graph=graph,
-        centroids=centroids,
-        minutiae=minutiae,
-        enrolled_at=enrolled_at,
-    )
+    k_field = _INDEX_K.match(index_key)
+    try:
+        class_label = None if cls_text == "-" else FingerClass(cls_text)
+        k = int(k_field.group(1)) if k_field else 0
+    except ValueError as exc:
+        raise FingerprintError(f"malformed template record: {exc}") from exc
+    if k < 2:
+        raise FingerprintError(f"record INDEX {index_key!r} names no k of at least 2")
+    sig = compute_signature(parse_minutiae("\n".join(min_block) + "\n", source_id=rec_id), k)
+    if sig.index_key != index_key:
+        raise FingerprintError(f"record INDEX {index_key!r} is not the key of its minutiae, {sig.index_key!r}")
+    return TemplateRecord(id=rec_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, CorePoint, MinutiaKind, MinutiaeSet, RigidTransform, apply_transform
+from .core import MAX_COORDINATE, TWO_PI, CorePoint, MinutiaKind, MinutiaeSet, RigidTransform, apply_transform
 from .errors import ConfigInfeasible, FingerprintError
 from .orientation import BLOCK_SIZE, FeatureVector, FingerClass, OrientationField
 
 DISK_CENTER = (150.0, 150.0)
 MIN_SEPARATION = 5.0
 MAX_SAMPLING_ATTEMPTS = 100_000
+MAX_FIELD_SIDE = 1024  # blocks per side of a generated orientation field
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_minutiae < 1:
-            raise ValueError("need at least one minutia")
-        if self.disk_radius < 0 or self.jitter_sigma < 0:
-            raise ValueError("radii and sigmas must be non-negative")
+        if self.n_minutiae < 1 or self.seed < 0:
+            raise FingerprintError("need at least one minutia and a seed >= 0")
+        # Also false for NaN. The bound keeps every squared distance finite.
+        if not (0 <= self.disk_radius <= MAX_COORDINATE and 0 <= self.jitter_sigma <= MAX_COORDINATE):
+            raise FingerprintError(f"disk_radius and jitter_sigma must lie in [0, {MAX_COORDINATE:g}]")
 
 
 def gen_synthetic_minutiae(cfg: SynthConfig) -> MinutiaeSet:
@@ -145,6 +147,8 @@ def gen_synthetic_orientation(cfg: SynthConfig) -> tuple[OrientationField, CoreP
     """
     rng = np.random.default_rng(cfg.seed)
     side = int(math.ceil(2.0 * cfg.disk_radius / BLOCK_SIZE)) + 4
+    if side > MAX_FIELD_SIDE:
+        raise ConfigInfeasible(f"disk radius {cfg.disk_radius:g} needs a field over {MAX_FIELD_SIDE} blocks wide")
     center = side * BLOCK_SIZE / 2.0
     cores, deltas = _PLACEMENTS[cfg.finger_class]
 
@@ -211,17 +215,12 @@ def save_orientation_field(field: OrientationField, path, core: CorePoint | None
 
 
 def load_orientation_field(source) -> tuple[OrientationField, CorePoint | None]:
-    """Read an OF1 file from a path, text, or bytes. A malformed file raises
-    FingerprintError."""
+    """Read an OF1 file from a path or bytes (a str is always a path). A
+    malformed file raises FingerprintError."""
     from pathlib import Path
 
     try:
-        if isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif isinstance(source, str) and source.lstrip().startswith("OF1"):
-            text = source
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+        text = (source if isinstance(source, bytes) else Path(source).read_bytes()).decode("utf-8")
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
         header = lines[0].split() if lines else []
         if len(header) != 4 or header[0] != "OF1":

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,14 @@ class TestTrainClassify:
         run("train", "--out", map_path, "--m", 5, "--epochs", 10, "--seed", 0, listing)
         assert run("classify", "--map", map_path, pgm) == 0
 
+    def test_field_path_that_starts_with_of1(self, tmp_path, monkeypatch, capsys):
+        # A relative path that starts like the OF1 header is still a path.
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "field", "--seed", 5, "--class", "whorl", "--out", "OF1_whorl.of1") == 0
+        Path("t.lst").write_text("OF1_whorl.of1 whorl\n")
+        assert run("train", "--out", "m.som", "--m", 2, "--epochs", 2, "t.lst") == 0
+        assert run("classify", "--map", "m.som", "OF1_whorl.of1") == 0
+
 
 class TestBadInput:
     @pytest.fixture
@@ -247,6 +257,26 @@ class TestEvalCommand:
         text = report.read_text()
         assert "FAR" in text and "accuracy" in text
         assert run("eval", "--scenario", tmp_path / "missing.scen") == 3
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "fingers 0; imposter_pairs 0",
+            "max_rotation nan",
+            "disk_radius 1e300",
+            "genuine_pairs -2; imposter_pairs 3",
+        ],
+    )
+    def test_bad_scenario_value_is_data_error(self, tmp_path, lines, capsys):
+        scenario = tmp_path / "s.scen"
+        scenario.write_text("SCEN1\nn_minutiae 25\nk 3\n" + lines.replace("; ", "\n") + "\n")
+        assert run("eval", "--scenario", scenario) == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["minutiae", "field"])
+    def test_huge_synth_radius_is_data_error(self, tmp_path, kind, capsys):
+        assert run("synth", kind, "--radius", "1e300", "--out", tmp_path / "out") == 3
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("taus", ["0:20:0", "0:20:-1", "nan:20:1"])
     def test_bad_tau_sweep_is_data_error(self, tmp_path, taus, capsys):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -319,3 +321,10 @@ class TestMinutiaeSetArrays:
 
     def test_coords_is_the_stored_array(self, s):
         assert s.coords() is s.xy and s.coords() is s.coords()
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_keep_read_only_arrays(self, s, clone):
+        # A copy or an unpickled set is rebuilt through the constructor.
+        other = clone(s)
+        assert other == s
+        assert not any(a.flags.writeable for a in (other.xy, other.theta, other.kind))

@@ -53,6 +53,32 @@ class TestScenarioFile:
             parse_scenario("SCEN1\nbogus 1\n")
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "fingers 0",
+            "n_minutiae 0",
+            "genuine_pairs -2; imposter_pairs 3",
+            "seed -1",
+            "k 1",
+            "k 31",
+            "tau 0",
+            "tau nan",
+            "max_translation inf",
+            "max_translation 1e300",
+            "max_rotation nan",
+            "disk_radius 1e300",
+            "disk_radius -1",
+            "jitter_sigma nan",
+        ],
+    )
+    def test_bad_value_raises_fingerprint_error(self, body):
+        # These used to divide by zero, overflow, or run a trial count of
+        # their own choosing.
+        with pytest.raises(FingerprintError):
+            parse_scenario("SCEN1\n" + body.replace("; ", "\n") + "\n")
+
+
 def small_scenario(**kw):
     base = dict(
         seed=5, fingers=6, n_minutiae=25, k=3, genuine_pairs=20, imposter_pairs=20

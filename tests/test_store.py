@@ -1,7 +1,12 @@
 import math
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpverify.core import (
     MAX_COORDINATE,
@@ -15,7 +20,15 @@ from fpverify.core import (
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
 from fpverify.matching import Decision, modified_hausdorff
 from fpverify.orientation import FingerClass
-from fpverify.store import TemplateStore, best_rotation_alignment, compute_signature, gate_trace
+from fpverify.store import (
+    TemplateRecord,
+    TemplateStore,
+    _parse_record,
+    _record_text,
+    best_rotation_alignment,
+    compute_signature,
+    gate_trace,
+)
 from fpverify.synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
 
 
@@ -315,9 +328,10 @@ class TestRecordParsing:
         for n in range(len(full)):
             path.write_bytes(full[:n])
             with pytest.raises(FingerprintError):
-                store.get("a")
+                TemplateStore(store.directory).get("a")
         path.write_bytes(full)
-        assert np.array_equal(store.get("a").minutiae.coords(), to_core_relative(mset).coords())
+        reopened = TemplateStore(store.directory).get("a")
+        assert np.array_equal(reopened.minutiae.coords(), to_core_relative(mset).coords())
 
     @pytest.mark.parametrize("tail, message", [(b"b\tV5|D1\n", "manifest line 2"), (b"\xff\n", "UTF-8")])
     def test_malformed_manifest_raises(self, store, tail, message):
@@ -331,19 +345,23 @@ class TestRecordParsing:
         store.enroll(finger(1), "a")
         (store.directory / "a.rec").unlink()
         with pytest.raises(FingerprintError, match="'a'"):
-            store.get("a")
+            TemplateStore(store.directory).get("a")
 
     def test_each_record_parsed_once_per_store(self, store, monkeypatch):
         import fpverify.store as store_module
 
-        store.enroll(finger(1), "a", k=5)
+        enrolled = store.enroll(finger(1), "a", k=5)
         calls = []
         parse = store_module._parse_record
         monkeypatch.setattr(store_module, "_parse_record", lambda text: calls.append(1) or parse(text))
-        first = store.get("a")
-        assert store.get("a") is first and store.identify(finger(1), k=5)[0][0] == "a"
+        # The enrolling store keeps the record it wrote; it parses nothing.
+        assert store.get("a") is enrolled and store.identify(finger(1), k=5)[0][0] == "a"
+        assert calls == []
+        reopened = TemplateStore(store.directory)
+        first = reopened.get("a")
+        assert reopened.get("a") is first and reopened.identify(finger(1), k=5)[0][0] == "a"
         assert len(calls) == 1
-        assert TemplateStore(store.directory).get("a").minutiae == first.minutiae
+        assert first.minutiae == enrolled.minutiae
 
     def test_record_holding_another_id_raises(self, store):
         store.enroll(finger(1), "f0")
@@ -351,3 +369,135 @@ class TestRecordParsing:
         (store.directory / "f0.rec").write_bytes((store.directory / "f1.rec").read_bytes())
         with pytest.raises(FingerprintError, match="'f1', not 'f0'"):
             TemplateStore(store.directory).get("f0")
+
+
+# Written by the FPREC1 writer: 12-minutia synthetic fingers of seeds 1, 2 and
+# 3, enrolled at k=5 as p1 (whorl), p2 (no class) and p3 (arch).
+FPREC1_STORE = Path(__file__).parent / "data" / "fprec1_store"
+FPREC1_FINGERS = {"p1": (1, FingerClass.WHORL), "p2": (2, None), "p3": (3, FingerClass.ARCH)}
+
+
+class TestRecordFormat:
+    def test_record_is_fprec2_and_round_trips(self, store):
+        store.enroll(finger(5), "bob", k=5, class_label=FingerClass.ARCH)
+        text = (store.directory / "bob.rec").read_text()
+        assert text.startswith("FPREC2\nID bob\nCLASS arch\nINDEX V5|")
+        assert "CENTROIDS" not in text and "EDGES" not in text
+        assert _record_text(TemplateStore(store.directory).get("bob")) == text
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_reopened_record_is_the_enrolled_one(self, store, k):
+        enrolled = store.enroll(finger(20 + k), "a", k=k, class_label=FingerClass.WHORL)
+        got = TemplateStore(store.directory).get("a")
+        assert got.centroids.tobytes() == enrolled.centroids.tobytes()
+        assert (got.graph, got.index_key, got.minutiae) == (enrolled.graph, enrolled.index_key, enrolled.minutiae)
+        assert (got.id, got.class_label, got.enrolled_at) == ("a", FingerClass.WHORL, enrolled.enrolled_at)
+
+    def test_fprec1_store_still_opens(self, tmp_path):
+        old = TemplateStore(shutil.copytree(FPREC1_STORE, tmp_path / "old"))
+        assert sorted(old.ids()) == sorted(FPREC1_FINGERS)
+        for rid, (seed, class_label) in FPREC1_FINGERS.items():
+            rec = old.get(rid)
+            sig = compute_signature(finger(seed, n=12), k=5)
+            assert (rec.id, rec.class_label, rec.index_key) == (rid, class_label, sig.index_key)
+            assert rec.graph == sig.graph and np.array_equal(rec.centroids, sig.centroids)
+            assert np.array_equal(rec.minutiae.xy, sig.minutiae.xy)
+            # The derived centroids are, to the bit, the ones the old record stored.
+            lines = (FPREC1_STORE / f"{rid}.rec").read_text().splitlines()
+            at = lines.index("CENTROIDS 5")
+            stored = np.array([[float(v) for v in line.split()] for line in lines[at + 1 : at + 6]])
+            assert stored.tobytes() == rec.centroids.tobytes()
+            assert lines[4] == f"ENROLLED {rec.enrolled_at}"
+        assert old.identify(finger(1, n=12), k=5)[0][0] == "p1"
+
+    def test_record_index_that_is_not_its_key_raises(self, store):
+        store.enroll(finger(1, n=12), "a", k=5)
+        path = store.directory / "a.rec"
+        text = path.read_text()
+        key = text.splitlines()[3][len("INDEX ") :]
+        assert key != "V5|D2,2,2,1,1|H2|M1:2,2:3"
+        path.write_text(text.replace(key, "V5|D2,2,2,1,1|H2|M1:2,2:3"))
+        with pytest.raises(FingerprintError, match="not the key of its minutiae"):
+            TemplateStore(store.directory).get("a")
+
+    def test_manifest_key_that_is_not_the_record_key_raises(self, store):
+        rec = store.enroll(finger(1, n=12), "a", k=5)
+        manifest = store.directory / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(rec.index_key, "V5|D2,2,2,1,1|H2|M1:2,2:3"))
+        with pytest.raises(FingerprintError, match="manifest"):
+            TemplateStore(store.directory).get("a")
+
+    @pytest.mark.parametrize("k", ["0", "1", "99", "-5", "x", "9" * 5000])
+    def test_index_without_a_usable_k_raises(self, k):
+        text = (FPREC1_STORE / "p1.rec").read_text().replace("INDEX V5|", f"INDEX V{k}|")
+        with pytest.raises(FingerprintError):
+            _parse_record(text)
+
+
+def _mutable_lines():
+    old = (FPREC1_STORE / "p1.rec").read_text()
+    return old.splitlines(), _record_text(_parse_record(old)).splitlines()
+
+
+RECORD_LINES = _mutable_lines()  # an FPREC1 and an FPREC2 record
+ODD_TOKENS = ["0", "-1", "1e300", "nan", "inf", "V0|", "V1|D1|H1|M1:1", "V99|", "FPREC2", "MINUTIAE", "CORE", "E"]
+
+
+@st.composite
+def mutated_records(draw):
+    """A valid record with lines dropped, duplicated or replaced, or tokens swapped."""
+    lines = list(draw(st.sampled_from(RECORD_LINES)))
+    every_line = [line for record in RECORD_LINES for line in record]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace", "swap", "token"]))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif op == "replace":
+            lines[i] = draw(st.sampled_from(every_line) | st.text(max_size=30))
+        else:
+            tokens = lines[i].split(" ")
+            a = draw(st.integers(0, len(tokens) - 1))
+            if op == "swap":
+                b = draw(st.integers(0, len(tokens) - 1))
+                tokens[a], tokens[b] = tokens[b], tokens[a]
+            else:
+                tokens[a] = draw(st.sampled_from(ODD_TOKENS) | st.text(max_size=8))
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @given(text=mutated_records())
+    @settings(max_examples=300, deadline=None)
+    @example(text="\n".join(RECORD_LINES[1]).replace("INDEX V5|", "INDEX V0|") + "\n")
+    @example(text="\n".join(RECORD_LINES[1]).replace("INDEX V5|", "INDEX V1|") + "\n")
+    @example(text="\n".join(RECORD_LINES[1]).replace("INDEX V5|", "INDEX V99|") + "\n")
+    def test_mutated_record_parses_or_raises_fingerprint_error(self, text):
+        try:
+            record = _parse_record(text)
+        except FingerprintError:
+            return
+        assert isinstance(record, TemplateRecord)
+        assert record.index_key == compute_signature(record.minutiae, len(record.centroids)).index_key
+
+    @given(
+        data=st.binary(max_size=120)
+        | st.lists(
+            st.lists(st.sampled_from(["a", "V5|", "V7|D1", "\t", "\n", "\r", "a.rec", "|", "\x85", "\xff", " "])),
+            max_size=4,
+        ).map(lambda lines: "\n".join("".join(parts) for parts in lines).encode("utf-8", "surrogateescape"))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_manifest_bytes_open_or_raise_fingerprint_error(self, data):
+        with tempfile.TemporaryDirectory() as directory:
+            (Path(directory) / "manifest.txt").write_bytes(data)
+            try:
+                store = TemplateStore(directory)
+            except FingerprintError:
+                return
+            assert len(store.ids()) == len(store)

@@ -175,10 +175,10 @@ class TestFieldFile:
     @pytest.mark.parametrize(
         "text",
         [
-            "OF1 x 2 16\n0 0\n1 1\n",
-            "OF1 2 1 16\nCORE 5\n0 0\n1 1\n",
-            "OF1 2 1 16\n0 zero\n1 1\n",
-            "OF1 2 1 16\n0 9\n1 1\n",
+            b"OF1 x 2 16\n0 0\n1 1\n",
+            b"OF1 2 1 16\nCORE 5\n0 0\n1 1\n",
+            b"OF1 2 1 16\n0 zero\n1 1\n",
+            b"OF1 2 1 16\n0 9\n1 1\n",
         ],
         ids=["header", "core", "value", "direction"],
     )
