@@ -7,6 +7,12 @@ radial quantiles of that ranking. Distance to the core does not change under
 rotation about the core, so rotations permute only same-radius ties and the
 resulting partition is rotation-covariant on tie-free inputs. Random seeding
 would break both guarantees through assignment flips.
+
+Each Lloyd iteration runs a fixed number of numpy calls, with no loop over
+clusters: the counts and the per-cluster coordinate sums come from
+``np.bincount``, which adds each cluster's points in point order, so a mean is
+the sequential sum of ``pts[assign == c].mean(axis=0)`` to the bit. Only an
+iteration that empties a cluster runs the reseeding loop.
 """
 
 from __future__ import annotations
@@ -59,6 +65,13 @@ def _dist2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return dx * dx + dy * dy
 
 
+def _means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """(k, 2) cluster means, each bitwise ``pts[assign == c].mean(axis=0)``
+    (NaN for an empty cluster either way)."""
+    sums = np.stack([np.bincount(assign, pts[:, 0], k), np.bincount(assign, pts[:, 1], k)], axis=1)
+    return sums / np.bincount(assign, minlength=k)[:, None]
+
+
 def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
     """Lloyd's algorithm over core-relative minutiae with deterministic seeding.
 
@@ -89,15 +102,16 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
 
         # Reseed emptied clusters (ascending id) with the worst-fitted point.
         repaired = False
-        for empty in range(k):
-            if np.any(assign == empty):
-                continue
-            cost = d2[np.arange(n), assign]
-            worst = int(np.argmax(cost))
-            centroids[empty] = pts[worst]
-            assign[worst] = empty
-            d2[:, empty] = _dist2(pts, centroids[empty : empty + 1])[:, 0]
-            repaired = True
+        if np.bincount(assign, minlength=k).min() == 0:
+            for empty in range(k):
+                if np.any(assign == empty):
+                    continue
+                cost = d2[np.arange(n), assign]
+                worst = int(np.argmax(cost))
+                centroids[empty] = pts[worst]
+                assign[worst] = empty
+                d2[:, empty] = _dist2(pts, centroids[empty : empty + 1])[:, 0]
+                repaired = True
 
         obj = float(d2[np.arange(n), assign].sum())
         if obj > prev_obj + 1e-9:
@@ -107,13 +121,11 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
         if not repaired and prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        for c in range(k):
-            centroids[c] = pts[assign == c].mean(axis=0)
+        centroids = _means(pts, assign, k)
     else:
         # Iteration cap: make the reported state self-consistent.
         assign = prev_assign if prev_assign is not None else np.zeros(n, dtype=np.intp)
-        for c in range(k):
-            centroids[c] = pts[assign == c].mean(axis=0)
+        centroids = _means(pts, assign, k)
 
     d2 = _dist2(pts, centroids)
     objective = float(d2[np.arange(n), assign].sum())

@@ -8,16 +8,19 @@ the decision statistic is MHD.
 
 One kernel, ``nearest_distances``, serves all three and the batched rotation
 search in ``store``, and it agrees bit for bit with a brute-force double loop
-over per-pair sqrt(dx*dx + dy*dy) with sequential sums. It takes the second
-set a block of points at a time, keeps the least squared distance of each
-point, and takes sqrt once, of those minima. That is exact: sqrt is correctly
-rounded and monotone, so sqrt(min) == min(sqrt), and a minimum does not depend
-on the order its terms are taken in. The sets of a batch lie on the last,
-contiguous axis of each table, so the a->b minima are an elementwise
-``np.minimum`` of whole rows and the b->a minima a reduction across rows,
-both passes over contiguous memory. With the sets first, the b->a minima
-would reduce one short, strided row of n values per set, which for the ~200
-rotated probes of gate 3 took longer than the table's arithmetic.
+over per-pair sqrt(dx*dx + dy*dy) with sequential sums. It lays the C sets of
+a batch out as (n, C) x and y columns, the sets on the last, contiguous axis,
+so the a->b minima are an elementwise ``np.minimum`` of whole rows and the
+b->a minima a reduction across rows. It takes the second set a block of
+points at a time, keeps the least squared distance of each point, and takes
+sqrt once, of those minima. That is exact: sqrt is correctly rounded and
+monotone, so sqrt(min) == min(sqrt), and a minimum does not depend on the
+order its terms are taken in. When a block would hold one point, as for the
+~200 rotated probes of gate 3, it loops over the points of the second set one
+at a time, as Python floats, into buffers made once. ``mhd_of`` sums down the
+columns, one row after another; with one column (a single set, or a gate-3
+pair whose only candidate is the identity, C = 1) numpy's reduction would run
+along the fast axis and sum pairwise, so that case accumulates instead.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ DEFAULT_TAU = 12.0
 # (32 KiB of float64), or one column when the first set or batch alone has
 # more points. One table over all ~200 rotation candidates of gate 3 (1-2 MB)
 # took fresh pages from the allocator on every call, and its cost varied from
-# run to run; blocked, the ~200 rotated 30-point probes get one ~46 KB
-# (1, 30, 200) table per template point, the candidates contiguous.
+# run to run; the ~200 rotated 30-point probes take one template point at a
+# time, into one ~46 KB (30, 200) table reused for every point.
 TABLE_ENTRIES = 4096
 
 
@@ -56,30 +59,59 @@ def _as_points(points) -> np.ndarray:
 def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-neighbor distances a->b (..., n) and b->a (..., m) between a
     set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2), with
-    ``b`` taken in blocks of points whose tables keep to ``TABLE_ENTRIES``."""
-    # Sets last: (n, C) coordinates of the C sets of the batch. A block of B
-    # points of b gives a (B, n, C) table; ``least`` holds the a->b minima so far.
+    ``b`` taken in blocks of points whose tables keep to ``TABLE_ENTRIES``.
+
+    The outputs are transposed views of (n, C) and (m, C) arrays. A batch
+    laid out in memory as its (2, n, C) transpose is read without a copy."""
+    # Sets last: (n, C) coordinates of the C sets of the batch.
     ax, ay = np.ascontiguousarray(a.reshape(-1, a.shape[-2], 2).T)
     step = max(1, TABLE_ENTRIES // ax.size)
-    least = np.full((min(step, len(b)),) + ax.shape, np.inf)
     b_to_a = np.empty((len(b), ax.shape[1]))
-    for j in range(0, len(b), step):
-        table = np.square(ax - b[j : j + step, 0, None, None])
-        dy = ay - b[j : j + step, 1, None, None]
-        table += np.square(dy, out=dy)
-        np.minimum(least[: len(table)], table, out=least[: len(table)])
-        table.min(axis=1, out=b_to_a[j : j + len(table)])
+    if step == 1:
+        # One point of b at a time, its coordinates Python floats, into
+        # buffers made once: for a large batch the per-call overhead of
+        # numpy, not the arithmetic, is the cost.
+        least = np.full(ax.shape, np.inf)
+        table, dy = np.empty(ax.shape), np.empty(ax.shape)
+        for j, (bx, by) in enumerate(b.tolist()):
+            np.subtract(ax, bx, out=table)
+            np.square(table, out=table)
+            np.subtract(ay, by, out=dy)
+            table += np.square(dy, out=dy)
+            np.minimum(least, table, out=least)
+            table.min(axis=0, out=b_to_a[j])
+    else:
+        # A block of B points of b gives a (B, n, C) table; ``blocks`` holds
+        # the a->b minima so far of each row of the block.
+        blocks = np.full((min(step, len(b)),) + ax.shape, np.inf)
+        for j in range(0, len(b), step):
+            table = np.square(ax - b[j : j + step, 0, None, None])
+            dy = ay - b[j : j + step, 1, None, None]
+            table += np.square(dy, out=dy)
+            np.minimum(blocks[: len(table)], table, out=blocks[: len(table)])
+            table.min(axis=1, out=b_to_a[j : j + len(table)])
+        least = blocks.min(axis=0)
     # Exact: sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt).
-    a_to_b = np.sqrt(least.min(axis=0)).T.reshape(a.shape[:-1])
+    a_to_b = np.sqrt(least).T.reshape(a.shape[:-1])
     return a_to_b, np.sqrt(b_to_a).T.reshape(a.shape[:-2] + (len(b),))
 
 
+def _sequential_sums(v: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of ``v`` (..., n) over its last axis."""
+    # np.add.reduce adds the rows of a C-contiguous (n, C) array one after
+    # another when C > 1. Along the fast axis in memory (a single set, or a
+    # batch of one, C = 1) it sums pairwise, which drifts from a brute-force
+    # loop by an ulp, so that case and any other layout accumulate.
+    rows = v.T
+    if rows.flags.c_contiguous and rows.size > len(rows):
+        return np.add.reduce(rows, axis=0).T
+    return np.add.accumulate(rows, axis=0)[-1].T
+
+
 def mhd_of(a_to_b: np.ndarray, b_to_a: np.ndarray) -> np.ndarray:
-    """MHD from the nearest-neighbor distances of ``nearest_distances``."""
-    # Sequential (left-to-right) sums; np.sum's pairwise reduction would
-    # drift from a brute-force loop by an ulp.
-    means = [np.cumsum(v, axis=-1)[..., -1] / v.shape[-1] for v in (a_to_b, b_to_a)]
-    return np.maximum(*means)
+    """MHD from the nearest-neighbor distances of ``nearest_distances``:
+    sequential sums down the columns of the (n, C) arrays behind them."""
+    return np.maximum(_sequential_sums(a_to_b) / a_to_b.shape[-1], _sequential_sums(b_to_a) / b_to_a.shape[-1])
 
 
 def directed_hausdorff(m_points, n_points) -> float:

@@ -60,7 +60,8 @@ DEFAULT_K = 5
 ALIGN_RADIUS_BAND = 10.0
 
 _MANIFEST = "manifest.txt"
-_MANIFEST_LINE = re.compile(r"[^\t]+\tV\d+\|[^\t]*\t[^\t]+")  # id, index key, file
+_MANIFEST_LINE = re.compile(r"([^\t]+)\t(V(\d+)\|[^\t]*)\t([^\t]+)")  # id, index key (k first), file
+_MAX_K_DIGITS = 4  # k-means over 10,000 clusters is no template any store can hold
 _INDEX_K = re.compile(r"V(\d+)\|")  # the vertex count that leads an index key
 
 
@@ -117,9 +118,8 @@ class VerifyResult:
         return None
 
 
-def _rotate(points: np.ndarray, cos, sin) -> np.ndarray:
-    """Points rotated by an angle's math cos/sin: (n, 2) for scalars, (k, n, 2)
-    for (k, 1) columns, and to the same bits either way."""
+def _rotate(points: np.ndarray, cos: float, sin: float) -> np.ndarray:
+    """(n, 2) points rotated by an angle's math cos/sin."""
     x, y = points[:, 0], points[:, 1]
     return np.stack((x * cos - y * sin, x * sin + y * cos), axis=-1)
 
@@ -139,11 +139,18 @@ def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[fl
     diffs = (ta[None, :] - pa[:, None])[close]
     candidates = np.concatenate(([0.0], diffs))
 
-    cos = np.array([math.cos(a) for a in candidates.tolist()])[:, None]
-    sin = np.array([math.sin(a) for a in candidates.tolist()])[:, None]
-    mhds = mhd_of(*nearest_distances(_rotate(probe, cos, sin), template))
+    # The C rotated probes go straight into (n, C) x and y columns, the
+    # layout the kernel reads; each element has the bits of ``_rotate``.
+    angles = candidates.tolist()
+    cos = np.fromiter(map(math.cos, angles), float, len(angles))
+    sin = np.fromiter(map(math.sin, angles), float, len(angles))
+    x, y = probe[:, 0, None], probe[:, 1, None]
+    rotated = np.empty((2, len(probe), len(angles)))
+    np.subtract(x * cos, y * sin, out=rotated[0])
+    np.add(x * sin, y * cos, out=rotated[1])
+    mhds = mhd_of(*nearest_distances(rotated.T, template))
     best = int(np.argmin(mhds))
-    return float(candidates[best]), float(mhds[best])
+    return angles[best], float(mhds[best])
 
 
 def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[GateCheck, ...], Decision]:
@@ -183,8 +190,8 @@ class TemplateStore:
 
     def __init__(self, directory):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._index: dict[str, tuple[str, str]] = {}  # id -> (index_key, filename)
+        self._made = False  # the first enroll makes the directory, so a read leaves none behind
+        self._index: dict[str, tuple[str, str, int]] = {}  # id -> (index_key, filename, k)
         self._parsed: dict[str, TemplateRecord] = {}  # filled by enroll, and by get after a clean parse
         manifest = self.directory / _MANIFEST
         if manifest.exists():
@@ -195,10 +202,16 @@ class TemplateStore:
             for number, line in enumerate(text.splitlines(), 1):
                 if not line.strip():
                     continue
-                if not _MANIFEST_LINE.fullmatch(line):
+                fields = _MANIFEST_LINE.fullmatch(line)
+                if not fields:
                     raise FingerprintError(f"manifest line {number} is not id<TAB>index_key<TAB>file")
-                rec_id, key, fname = line.split("\t")
-                self._index[rec_id] = (key, fname)
+                rec_id, key, k_digits, fname = fields.groups()
+                if len(k_digits) > _MAX_K_DIGITS:
+                    raise FingerprintError(f"manifest line {number}: k has more than {_MAX_K_DIGITS} digits")
+                # Only a plain file name reads a file of this store; a NUL makes open() raise ValueError.
+                if fname in (".", "..") or any(ch in fname for ch in "/\\\0"):
+                    raise FingerprintError(f"manifest line {number}: {fname!r} is not a file name in the store")
+                self._index[rec_id] = (key, fname, int(k_digits))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -208,7 +221,7 @@ class TemplateStore:
 
     def bucket(self, index_key: str) -> list[str]:
         """Ids sharing an index key, straight from the manifest."""
-        return [rid for rid, (key, _) in self._index.items() if key == index_key]
+        return [rid for rid, (key, _, _) in self._index.items() if key == index_key]
 
     def enroll(
         self,
@@ -236,10 +249,13 @@ class TemplateStore:
             enrolled_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         )
         fname = f"{record_id}.rec"
+        if not self._made:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._made = True
         (self.directory / fname).write_text(_record_text(record), encoding="utf-8")
         with (self.directory / _MANIFEST).open("a", encoding="utf-8") as fh:
             fh.write(f"{record_id}\t{record.index_key}\t{fname}\n")
-        self._index[record_id] = (record.index_key, fname)
+        self._index[record_id] = (record.index_key, fname, k)
         self._parsed[record_id] = record
         return record
 
@@ -248,7 +264,7 @@ class TemplateStore:
             return self._parsed[record_id]
         if record_id not in self._index:
             raise UnknownId(f"no enrolled record {record_id!r}")
-        key, fname = self._index[record_id]
+        key, fname, _ = self._index[record_id]
         try:
             text = (self.directory / fname).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -294,7 +310,7 @@ class TemplateStore:
         """
         check_tau(tau)  # an empty bucket scores nothing, so check here too
         if k is None:  # the V<k> field of the manifest keys
-            ks = sorted({int(key[1 : key.index("|")]) for key, _ in self._index.values()})
+            ks = sorted({rec_k for _, _, rec_k in self._index.values()})
             if len(ks) > 1:
                 named = ", ".join(map(str, ks))
                 raise FingerprintError(f"store holds templates of k = {named}; give one k (--k)")

@@ -50,6 +50,15 @@ class TestEnrollVerify:
         run("enroll", "--store", store, "--id", "a", probe_file)
         assert run("verify", "--store", store, "--id", "nobody", probe_file) == 3
 
+    def test_read_commands_on_a_missing_store_leave_no_directory(self, tmp_path, probe_file, capsys):
+        store = tmp_path / "typo_store"
+        assert run("verify", "--store", store, "--id", "a", probe_file) == 3
+        assert run("identify", "--store", store, probe_file) == 0
+        assert "no candidates" in capsys.readouterr().out
+        assert not store.exists()
+        assert run("enroll", "--store", store / "nested", "--id", "a", probe_file) == 0
+        assert (store / "nested" / "a.rec").is_file()
+
     def test_identify_lists_candidates(self, tmp_path, probe_file, capsys):
         store = tmp_path / "db"
         run("enroll", "--store", store, "--id", "a", probe_file)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,51 @@ def is_lloyd_fixed_point(points, result: ClusterResult):
         for c in range(result.k)
     )
     return stable and means_ok
+
+
+def per_cluster_lloyd(points, k):
+    """Lloyd's loop as kmeans_fing ran it with one mean per cluster, the
+    oracle for its np.bincount means: (centroids, assignment, objective,
+    iterations, whether an emptied cluster was ever reseeded)."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+
+    def dist2(centroids):
+        dx = pts[:, 0][:, None] - centroids[:, 0][None, :]
+        dy = pts[:, 1][:, None] - centroids[:, 1][None, :]
+        return dx * dx + dy * dy
+
+    centroids = radial_seed(pts, k)
+    prev_assign, prev_obj, iterations, ever_repaired = None, math.inf, 0, False
+    while iterations < 500:
+        iterations += 1
+        d2 = dist2(centroids)
+        assign = np.argmin(d2, axis=1)
+        repaired = False
+        for empty in range(k):
+            if np.any(assign == empty):
+                continue
+            worst = int(np.argmax(d2[np.arange(n), assign]))
+            centroids[empty] = pts[worst]
+            assign[worst] = empty
+            d2[:, empty] = dist2(centroids[empty : empty + 1])[:, 0]
+            repaired = True
+        ever_repaired |= repaired
+        obj = float(d2[np.arange(n), assign].sum())
+        if obj > prev_obj + 1e-9:
+            raise RuntimeError("k-means objective increased; tie-break rules violated")
+        prev_obj = obj
+        if not repaired and prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+        for c in range(k):
+            centroids[c] = pts[assign == c].mean(axis=0)
+    else:
+        assign = prev_assign
+        for c in range(k):
+            centroids[c] = pts[assign == c].mean(axis=0)
+    objective = float(dist2(centroids)[np.arange(n), assign].sum())
+    return centroids, assign, objective, iterations, ever_repaired
 
 
 class TestRadialSeed:
@@ -115,6 +161,32 @@ class TestKmeansFing:
             res = kmeans_fing(mset(pts), k)
             assert res.objective >= brute_force_optimum(pts, k) - 1e-9
             assert is_lloyd_fixed_point(pts, res)
+
+    def test_equals_the_per_cluster_loop_bitwise(self):
+        # Spread sets, and small sets of repeated grid points whose repeated
+        # seeds empty clusters, so that the reseeding runs (often up to the
+        # iteration cap). A reseeding can empty a cluster already passed,
+        # whose mean is then NaN on both sides.
+        rng = np.random.default_rng(14)
+        sets = []
+        for _ in range(150):
+            sets.append((rng.uniform(-150, 150, size=(int(rng.integers(9, 40)), 2)), int(rng.integers(1, 10))))
+        for _ in range(40):
+            pts = rng.integers(-3, 4, size=(int(rng.integers(2, 9)), 2)).astype(float)
+            pts[: len(pts) // 2] = pts[0]
+            sets.append((pts, int(rng.integers(2, len(pts) + 1))))
+        repaired = 0
+        for pts, k in sets:
+            with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                centroids, assign, objective, iterations, ever_repaired = per_cluster_lloyd(pts, k)
+                res = kmeans_fing(mset(pts), k)
+            assert res.centroids.tobytes() == centroids.tobytes()
+            assert np.array_equal(res.assignment, assign)
+            assert (math.isnan(res.objective) and math.isnan(objective)) or res.objective == objective
+            assert res.iterations == iterations
+            repaired += ever_repaired
+        assert repaired >= 10
 
 
 class TestInvariance:

@@ -308,6 +308,46 @@ class TestAlignment:
                     best = (angle, mhd)
             assert found == best
 
+    @pytest.mark.parametrize("entries", [1, 4096])
+    @pytest.mark.parametrize("candidates", [1, 2])
+    def test_one_or_two_candidates_equal_a_brute_force_loop(self, monkeypatch, entries, candidates):
+        # Probe radii 100, 125, ..., 825; template radii from 900 on, so no
+        # pair lies in the radius band, plus for two candidates one template
+        # point at radius 103, in the band of the probe's first point alone.
+        # One candidate gives one probe column, which a pairwise sum would
+        # read to another ulp; one table entry forces one template point per block.
+        import fpverify.matching as matching_module
+
+        monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
+        rng = np.random.default_rng(candidates)
+
+        def ring(radii):
+            angles = rng.uniform(-math.pi, math.pi, len(radii))
+            return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+        probe = ring(100.0 + 25.0 * np.arange(30))
+        template = ring(np.concatenate(([103.0] if candidates == 2 else [], 900.0 + 25.0 * np.arange(29))))
+        angles = candidate_angles(probe, template)
+        assert len(angles) == candidates
+
+        def mhd(a, b):
+            means = []
+            for src, dst in ((a, b), (b, a)):
+                total = 0.0
+                for x, y in src:
+                    total += min(math.sqrt((x - u) * (x - u) + (y - v) * (y - v)) for u, v in dst)
+                means.append(total / len(src))
+            return max(means)
+
+        best = None
+        for angle in angles:
+            c, s = math.cos(angle), math.sin(angle)
+            rotated = [(x * c - y * s, x * s + y * c) for x, y in probe.tolist()]
+            score = mhd(rotated, template.tolist())
+            if best is None or score < best[1]:
+                best = (angle, score)
+        assert best_rotation_alignment(probe, template) == best
+
     def test_exact_tie_takes_first_candidate(self):
         # Candidates [0, 0, pi/2] all rotate the probe's one point onto the
         # origin, so all three score MHD 2.5; the first one wins.
@@ -339,6 +379,24 @@ class TestRecordParsing:
         with (store.directory / "manifest.txt").open("ab") as fh:
             fh.write(tail)
         with pytest.raises(FingerprintError, match=message):
+            TemplateStore(store.directory)
+
+    @pytest.mark.parametrize("fname", ["/etc/hostname", "../outside.rec", "..", "sub/a.rec", "a\x00.rec"])
+    def test_manifest_file_outside_the_store_raises(self, store, fname):
+        # Each name would have get() read a path other than a file of the store directory.
+        store.enroll(finger(1), "a")
+        (store.directory.parent / "outside.rec").write_text((store.directory / "a.rec").read_text())
+        manifest = store.directory / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("\ta.rec", f"\t{fname}"))
+        with pytest.raises(FingerprintError, match="not a file name in the store"):
+            TemplateStore(store.directory)
+
+    def test_manifest_k_of_too_many_digits_raises(self, store):
+        # int() of more than 4,300 digits raises ValueError, not FingerprintError.
+        store.enroll(finger(1), "a")
+        with (store.directory / "manifest.txt").open("a") as fh:
+            fh.write(f"b\tV{'5' * 5000}|x\tb.rec\n")
+        with pytest.raises(FingerprintError, match="manifest line 2: k has more than 4 digits"):
             TemplateStore(store.directory)
 
     def test_missing_record_file_raises(self, store):
