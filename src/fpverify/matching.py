@@ -18,9 +18,10 @@ monotone, so sqrt(min) == min(sqrt), and a minimum does not depend on the
 order its terms are taken in. When a block would hold one point, as for the
 ~200 rotated probes of gate 3, it loops over the points of the second set one
 at a time, as Python floats, into buffers made once. ``mhd_of`` sums down the
-columns, one row after another; with one column (a single set, or a gate-3
-pair whose only candidate is the identity, C = 1) numpy's reduction would run
-along the fast axis and sum pairwise, so that case accumulates instead.
+columns with ``np.add.accumulate``, one row after another for every layout; a
+plain ``np.sum`` would run along the fast axis with one column (a single set,
+or a gate-3 pair whose only candidate is the identity, C = 1) and sum
+pairwise, an ulp away from the loop.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     if step == 1:
         # One point of b at a time, its coordinates Python floats, into
         # buffers made once: for a large batch the per-call overhead of
-        # numpy, not the arithmetic, is the cost.
+        # numpy, not the arithmetic, is the cost. Measured on 30-point sets,
+        # one process: from C = 69 on (step 1), 0.75-0.86x the blocked path's
+        # time; it ties at C = 40-68 (step 2-3) and takes 1.5-3.3x at C = 2-20.
         least = np.full(ax.shape, np.inf)
         table, dy = np.empty(ax.shape), np.empty(ax.shape)
         for j, (bx, by) in enumerate(b.tolist()):
@@ -97,15 +100,9 @@ def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _sequential_sums(v: np.ndarray) -> np.ndarray:
-    """Left-to-right sums of ``v`` (..., n) over its last axis."""
-    # np.add.reduce adds the rows of a C-contiguous (n, C) array one after
-    # another when C > 1. Along the fast axis in memory (a single set, or a
-    # batch of one, C = 1) it sums pairwise, which drifts from a brute-force
-    # loop by an ulp, so that case and any other layout accumulate.
-    rows = v.T
-    if rows.flags.c_contiguous and rows.size > len(rows):
-        return np.add.reduce(rows, axis=0).T
-    return np.add.accumulate(rows, axis=0)[-1].T
+    """Left-to-right sums of ``v`` (..., n) over its last axis, read down the
+    contiguous (n, C) array behind it."""
+    return np.add.accumulate(v.T, axis=0)[-1].T
 
 
 def mhd_of(a_to_b: np.ndarray, b_to_a: np.ndarray) -> np.ndarray:

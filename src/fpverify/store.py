@@ -118,10 +118,17 @@ class VerifyResult:
         return None
 
 
-def _rotate(points: np.ndarray, cos: float, sin: float) -> np.ndarray:
-    """(n, 2) points rotated by an angle's math cos/sin."""
-    x, y = points[:, 0], points[:, 1]
-    return np.stack((x * cos - y * sin, x * sin + y * cos), axis=-1)
+def _rotated_columns(points: np.ndarray, angles: list[float]) -> np.ndarray:
+    """(2, n, C) x and y of the (n, 2) points rotated by each of C angles,
+    with math cos/sin: the columns the kernel reads, and ``.T`` the batch of
+    C rotated sets. Gate 3's search and its rescoring both rotate here."""
+    cos = np.fromiter(map(math.cos, angles), float, len(angles))
+    sin = np.fromiter(map(math.sin, angles), float, len(angles))
+    x, y = points[:, 0, None], points[:, 1, None]
+    rotated = np.empty((2, len(points), len(angles)))
+    np.subtract(x * cos, y * sin, out=rotated[0])
+    np.add(x * sin, y * cos, out=rotated[1])
+    return rotated
 
 
 def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[float, float]:
@@ -139,16 +146,8 @@ def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[fl
     diffs = (ta[None, :] - pa[:, None])[close]
     candidates = np.concatenate(([0.0], diffs))
 
-    # The C rotated probes go straight into (n, C) x and y columns, the
-    # layout the kernel reads; each element has the bits of ``_rotate``.
     angles = candidates.tolist()
-    cos = np.fromiter(map(math.cos, angles), float, len(angles))
-    sin = np.fromiter(map(math.sin, angles), float, len(angles))
-    x, y = probe[:, 0, None], probe[:, 1, None]
-    rotated = np.empty((2, len(probe), len(angles)))
-    np.subtract(x * cos, y * sin, out=rotated[0])
-    np.add(x * sin, y * cos, out=rotated[1])
-    mhds = mhd_of(*nearest_distances(rotated.T, template))
+    mhds = mhd_of(*nearest_distances(_rotated_columns(probe, angles).T, template))
     best = int(np.argmin(mhds))
     return angles[best], float(mhds[best])
 
@@ -174,7 +173,7 @@ def gate_trace(
     probe_pts = probe_sig.minutiae.coords()
     template_pts = template.minutiae.coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
-    score = score_point_sets(_rotate(probe_pts, math.cos(angle), math.sin(angle)), template_pts, tau)
+    score = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts, tau)
     gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
     return gates, replace(score, decision=decision), angle
 
