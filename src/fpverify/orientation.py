@@ -127,24 +127,24 @@ def estimate_block_directions(img: GrayImage, block_size: int = BLOCK_SIZE) -> O
     if img.width < block_size or img.height < block_size:
         raise ImageTooSmall(f"image {img.width}x{img.height} smaller than one block")
 
-    # Sobel with edge pixels mirrored ("symmetric" padding). The pixels are
-    # 8-bit, so every gradient and block sum below is an exact integer.
-    f = np.pad(img.pixels.astype(np.float64), 1, mode="symmetric")
-    dx = f[:, 2:] - f[:, :-2]
-    dy = f[2:, :] - f[:-2, :]
-    gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
-    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
-
-    rows = img.height // block_size
-    cols = img.width // block_size
+    rows, cols = img.height // block_size, img.width // block_size
     h, w = rows * block_size, cols * block_size
 
-    def block_sum(a: np.ndarray) -> np.ndarray:
-        return a[:h, :w].reshape(rows, block_size, cols, block_size).sum(axis=(1, 3))
+    # Sobel with edge pixels mirrored ("symmetric" padding) over the whole
+    # blocks and the 1-pixel ring they read. |gx|, |gy| <= 1020 fit int16,
+    # products fit int32 and numpy sums int32 in int64, so each block sum is
+    # its exact integer in any order: float64 arithmetic's value, to the bit.
+    f = np.pad(img.pixels, 1, mode="symmetric")[: h + 2, : w + 2].astype(np.int16)
+    dx = f[:, 2:] - f[:, :-2]
+    dy = f[2:, :] - f[:-2, :]
+    gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
+    gy = dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
 
-    sxx = block_sum(gx * gx)
-    syy = block_sum(gy * gy)
-    sxy = block_sum(gx * gy)
+    def block_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        p = np.multiply(a, b, dtype=np.int32).reshape(rows, block_size, w).sum(axis=1)
+        return p.reshape(rows, cols, block_size).sum(axis=2).astype(np.float64)
+
+    sxx, syy, sxy = (block_sum(a, b) for a, b in ((gx, gx), (gy, gy), (gx, gy)))
 
     theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy) + 0.5 * np.pi
     theta = np.mod(theta, np.pi)
@@ -248,27 +248,20 @@ def extract_feature_vector(field: OrientationField, core: CorePoint) -> FeatureV
     before the first foreground cell).
     """
     bs = field.block_size
-    bx = int(math.floor(core.x / bs))
-    by = int(math.floor(core.y / bs))
-
-    directions = np.zeros(FEATURE_LEN)
-    certainties = np.zeros(FEATURE_LEN)
-    fg_sum = 0.0
-    fg_count = 0
-    i = 0
-    for r in range(by - 8, by + 8):
-        for c in range(bx - 8, bx + 8):
-            inside = 0 <= r < field.rows and 0 <= c < field.cols
-            if inside and field.certainties[r, c] > 0.0:
-                d = float(field.directions[r, c])
-                directions[i] = d
-                certainties[i] = float(field.certainties[r, c])
-                fg_sum += d
-                fg_count += 1
-            else:
-                directions[i] = fg_sum / fg_count if fg_count else 0.0
-                certainties[i] = 0.0
-            i += 1
+    # Clamped so that a far-off core's window, wholly outside, fits int64.
+    bx = min(max(math.floor(core.x / bs), -8), field.cols + 8)
+    by = min(max(math.floor(core.y / bs), -8), field.rows + 8)
+    r, c = np.indices((16, 16)).reshape(2, FEATURE_LEN) + [[by - 8], [bx - 8]]
+    inside = (r >= 0) & (r < field.rows) & (c >= 0) & (c < field.cols)
+    cell_dirs, cell_certs = cells = np.zeros((2, FEATURE_LEN))
+    cells[:, inside] = np.stack((field.directions, field.certainties))[:, r[inside], c[inside]]
+    fg = cell_certs > 0.0
+    # cumsum adds in scan order, so these are the running sums to the bit.
+    fg_sum = np.cumsum(np.where(fg, cell_dirs, 0.0))
+    fg_count = np.cumsum(fg)
+    mean = np.divide(fg_sum, fg_count, out=np.zeros(FEATURE_LEN), where=fg_count > 0)
+    directions = np.where(fg, cell_dirs, mean)
+    certainties = np.where(fg, cell_certs, 0.0)
     return FeatureVector(directions=directions, certainties=certainties)
 
 
@@ -289,6 +282,13 @@ def _pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
     return tokens, pos
 
 
+def _pgm_number(token: bytes) -> int:
+    """Value of a whole-number token, or -1. Leading zeros are dropped and more
+    than 18 digits give -1, so int() never meets its limit of 4,300 digits."""
+    digits = token.lstrip(b"0") or b"0"
+    return int(digits) if digits.isdigit() and len(digits) <= 18 else -1
+
+
 def read_pgm(source) -> GrayImage:
     """Read a P2 or P5 PGM image (maxval <= 255) from a path or bytes. A
     malformed image raises MalformedImage."""
@@ -297,9 +297,9 @@ def read_pgm(source) -> GrayImage:
     if magic not in (b"P2", b"P5"):
         raise MalformedImage(f"unsupported PGM magic {magic!r}")
     header, pos = _pgm_tokens(data, 3, pos)
-    if not all(tok.isdigit() for tok in header):
-        raise MalformedImage("PGM width, height and maxval must be whole numbers")
-    width, height, maxval = map(int, header)
+    width, height, maxval = map(_pgm_number, header)
+    if min(width, height, maxval) < 0:
+        raise MalformedImage("PGM width, height and maxval must be whole numbers below 10^18")
     if not (0 < maxval <= 255):
         raise MalformedImage("only 8-bit PGM images are supported")
     n = width * height
@@ -311,7 +311,7 @@ def read_pgm(source) -> GrayImage:
         px = np.frombuffer(raster, dtype=np.uint8, count=n)
     else:
         values, _ = _pgm_tokens(data, n, pos)
-        levels = [int(v) if v.isdigit() else -1 for v in values]
+        levels = [_pgm_number(v) for v in values]
         # Checked before the uint8 cast, which would raise OverflowError on 300 or -1.
         if not all(0 <= v <= maxval for v in levels):
             raise MalformedImage("P2 pixel values must be whole numbers in [0, maxval]")

@@ -3,11 +3,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fpverify import FingerClass
 from fpverify.core import CorePoint
-from fpverify.errors import FingerprintError, ImageTooSmall, LowConfidenceCoreWarning, NoForeground
+from fpverify.errors import (
+    FingerprintError,
+    ImageTooSmall,
+    LowConfidenceCoreWarning,
+    MalformedImage,
+    NoForeground,
+)
 from fpverify.orientation import (
     BLOCK_SIZE,
+    FEATURE_LEN,
     FeatureVector,
     GrayImage,
     OrientationField,
@@ -55,6 +65,85 @@ def circular_error(a, b):
     return np.abs(np.mod(a - b + np.pi / 2, np.pi) - np.pi / 2)
 
 
+def float64_block_directions(img, block_size=BLOCK_SIZE):
+    """Reference: estimate_block_directions as it was in float64 arithmetic,
+    with Sobel over the whole padded image and one 4-D block sum."""
+    f = np.pad(img.pixels.astype(np.float64), 1, mode="symmetric")
+    dx = f[:, 2:] - f[:, :-2]
+    dy = f[2:, :] - f[:-2, :]
+    gx = dx[:-2] + 2.0 * dx[1:-1] + dx[2:]
+    gy = dy[:, :-2] + 2.0 * dy[:, 1:-1] + dy[:, 2:]
+
+    rows = img.height // block_size
+    cols = img.width // block_size
+    h, w = rows * block_size, cols * block_size
+
+    def block_sum(a):
+        return a[:h, :w].reshape(rows, block_size, cols, block_size).sum(axis=(1, 3))
+
+    sxx = block_sum(gx * gx)
+    syy = block_sum(gy * gy)
+    sxy = block_sum(gx * gy)
+
+    theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy) + 0.5 * np.pi
+    theta = np.mod(theta, np.pi)
+    theta = np.where(theta >= np.pi, 0.0, theta)
+
+    energy = sxx + syy
+    coherence = np.zeros_like(energy)
+    nz = energy > 0.0
+    coherence[nz] = np.sqrt((sxx[nz] - syy[nz]) ** 2 + 4.0 * sxy[nz] ** 2) / energy[nz]
+    np.clip(coherence, 0.0, 1.0, out=coherence)
+    return theta, coherence
+
+
+def loop_feature_vector(field, core):
+    """Reference: extract_feature_vector as a scan over the 256 window cells."""
+    bs = field.block_size
+    bx = int(math.floor(core.x / bs))
+    by = int(math.floor(core.y / bs))
+
+    directions = np.zeros(FEATURE_LEN)
+    certainties = np.zeros(FEATURE_LEN)
+    fg_sum = 0.0
+    fg_count = 0
+    i = 0
+    for r in range(by - 8, by + 8):
+        for c in range(bx - 8, bx + 8):
+            inside = 0 <= r < field.rows and 0 <= c < field.cols
+            if inside and field.certainties[r, c] > 0.0:
+                d = float(field.directions[r, c])
+                directions[i] = d
+                certainties[i] = float(field.certainties[r, c])
+                fg_sum += d
+                fg_count += 1
+            else:
+                directions[i] = fg_sum / fg_count if fg_count else 0.0
+                certainties[i] = 0.0
+            i += 1
+    return directions, certainties
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def synth_field_image(finger_class, seed, period=8.0):
+    """Ridges that follow a synthetic orientation field, one direction per block."""
+    field, _ = gen_synthetic_orientation(SynthConfig(finger_class=finger_class, seed=seed))
+    theta = np.repeat(np.repeat(field.directions, BLOCK_SIZE, axis=0), BLOCK_SIZE, axis=1)
+    yy, xx = np.mgrid[0 : theta.shape[0], 0 : theta.shape[1]]
+    phase = xx * np.cos(theta + math.pi / 2) + yy * np.sin(theta + math.pi / 2)
+    return GrayImage.from_array(np.round(128 + 100 * np.sin(2 * np.pi * phase / period)))
+
+
+def stripes(shape, axis):
+    """0/255 stripes two pixels wide: across each edge Sobel reads |g| = 4 * 255 = 1020."""
+    level = np.where(np.arange(shape[axis]) // 2 % 2 == 1, 255, 0)
+    return np.broadcast_to(level[:, None] if axis == 0 else level[None, :], shape)
+
+
 class TestEstimateBlockDirections:
     def test_uniform_image_zero_certainty(self):
         img = GrayImage.from_array(np.full((48, 48), 77))
@@ -97,6 +186,47 @@ class TestEstimateBlockDirections:
         field = estimate_block_directions(img)
         assert np.all((field.directions >= 0) & (field.directions < np.pi))
         assert np.all((field.certainties >= 0) & (field.certainties <= 1))
+
+
+class TestIntegerArithmeticMatchesFloat64:
+    """Integer Sobel and block sums give the float64 reference's field to the bit."""
+
+    def check(self, img, block_size):
+        field = estimate_block_directions(img, block_size)
+        directions, certainties = float64_block_directions(img, block_size)
+        assert_same_bits(field.directions, directions)
+        assert_same_bits(field.certainties, certainties)
+
+    @pytest.mark.parametrize("block_size", [8, 16, 32])
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 33), (100, 47), (255, 300), (64, 16)])
+    def test_random_images(self, shape, block_size):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1] + block_size)
+        img = GrayImage.from_array(rng.integers(0, 256, size=shape))
+        if min(shape) < block_size:
+            with pytest.raises(ImageTooSmall):
+                estimate_block_directions(img, block_size)
+        else:
+            self.check(img, block_size)
+
+    @pytest.mark.parametrize("finger_class", list(FingerClass))
+    def test_synth_field_images(self, finger_class):
+        for seed in range(2):
+            self.check(synth_field_image(finger_class, seed), BLOCK_SIZE)
+
+    @pytest.mark.parametrize("block_size", [8, 16, 32])
+    @pytest.mark.parametrize(
+        "pixels",
+        [
+            np.zeros((70, 90)),
+            np.full((70, 90), 255),
+            stripes((70, 90), axis=0),
+            stripes((70, 90), axis=1),
+            np.where(np.indices((70, 90)).sum(axis=0) // 2 % 2 == 1, 255, 0),
+        ],
+        ids=["all-0", "all-255", "row-stripes", "column-stripes", "diagonal-stripes"],
+    )
+    def test_extreme_images(self, pixels, block_size):
+        self.check(GrayImage.from_array(pixels), block_size)
 
 
 class TestSegment:
@@ -297,6 +427,43 @@ class TestExtractFeatureVector:
         assert np.all(fv.directions[first_fg:][fv.certainties[first_fg:] == 0.0] == 0.75)
 
 
+class TestExtractMatchesLoop:
+    """Index arrays and cumulative sums give the cell scan's vector to the bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_fields_and_cores(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(n) for n in rng.integers(2, 30, size=2))
+        certainties = rng.uniform(0.01, 1.0, size=(rows, cols))
+        certainties[rng.uniform(size=(rows, cols)) < rng.uniform()] = 0.0  # background
+        field = OrientationField(rng.uniform(0, np.pi - 1e-9, size=(rows, cols)), certainties)
+        far = [-1e300, -500.0, 1e300]
+        cores = [
+            (cols * BLOCK_SIZE / 2, rows * BLOCK_SIZE / 2),  # centre
+            (0.0, 0.0),
+            (cols * BLOCK_SIZE - 0.5, 0.0),
+            (0.0, rows * BLOCK_SIZE - 0.5),
+            (cols * BLOCK_SIZE - 0.5, rows * BLOCK_SIZE - 0.5),
+            *[(x, y) for x in far for y in far],  # wholly off the field
+            *[(x, rows * BLOCK_SIZE / 2) for x in far],
+            *[tuple(rng.uniform(-300, 800, size=2)) for _ in range(20)],
+        ]
+        for x, y in cores:
+            fv = extract_feature_vector(field, CorePoint(x, y))
+            loop_directions, loop_certainties = loop_feature_vector(field, CorePoint(x, y))
+            assert_same_bits(fv.directions, loop_directions)
+            assert_same_bits(fv.certainties, loop_certainties)
+
+    def test_synth_fields(self):
+        for finger_class in FingerClass:
+            field, truth = gen_synthetic_orientation(SynthConfig(finger_class=finger_class, seed=3))
+            for core in (truth, CorePoint(0.0, 0.0), CorePoint(-40.0 * BLOCK_SIZE, 7.0)):
+                fv = extract_feature_vector(field, core)
+                directions, certainties = loop_feature_vector(field, core)
+                assert_same_bits(fv.directions, directions)
+                assert_same_bits(fv.certainties, certainties)
+
+
 class TestPgm:
     def test_p5_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -329,3 +496,73 @@ class TestPgm:
     def test_bad_image_is_a_fingerprint_error(self, data):
         with pytest.raises(FingerprintError):
             read_pgm(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5 " + b"9" * 5000 + b" 2 255\n" + bytes(4), b"P2 2 1 255 7 " + b"9" * 5000 + b"\n"],
+        ids=["width", "p2-pixel"],
+    )
+    def test_number_beyond_int_digit_limit_is_malformed(self, data):
+        with pytest.raises(MalformedImage):
+            read_pgm(data)
+
+    def test_leading_zeros_are_dropped(self):
+        img = read_pgm(b"P2 2 1 0255 " + b"0" * 5000 + b"7 000\n")
+        assert np.array_equal(img.pixels, [[7, 0]])
+
+
+def valid_pgm(magic, pixels):
+    height, width = pixels.shape
+    header = f"{magic}\n{width} {height}\n255\n".encode("ascii")
+    if magic == "P5":
+        return header + pixels.tobytes()
+    return header + " ".join(str(v) for v in pixels.reshape(-1)).encode("ascii") + b"\n"
+
+
+ODD_PGM_TOKENS = [b"0", b"-1", b"256", b"65536", b"1e3", b"0x10", b"#", b"P5", b"9" * 5000, b"0" * 5000 + b"1"]
+
+
+@st.composite
+def mutated_pgms(draw):
+    """A valid P2 or P5 file with byte runs replaced, inserted or dropped, or
+    space-separated fields swapped for odd tokens."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    n = shape[0] * shape[1]
+    pixels = np.array(draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)), dtype=np.uint8).reshape(shape)
+    data = bytearray(valid_pgm(draw(st.sampled_from(["P2", "P5"])), pixels))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "drop", "token"]))
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 6)))
+        if op == "replace":
+            data[i:j] = draw(st.binary(max_size=6))
+        elif op == "insert":
+            data[i:i] = draw(st.binary(min_size=1, max_size=6) | st.sampled_from(ODD_PGM_TOKENS))
+        elif op == "drop":
+            del data[i:j]
+        else:
+            tokens = bytes(data).split(b" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_PGM_TOKENS))
+            data = bytearray(b" ".join(tokens))
+    return bytes(data)
+
+
+class TestPgmFuzz:
+    @given(data=st.binary(max_size=64) | st.binary(max_size=40).map(lambda tail: b"P5 2 2 255\n" + tail))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_read_or_raise_fingerprint_error(self, data):
+        self.read_or_raise(data)
+
+    @given(data=mutated_pgms())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_pgm_reads_or_raises_fingerprint_error(self, data):
+        self.read_or_raise(data)
+
+    @staticmethod
+    def read_or_raise(data):
+        try:
+            img = read_pgm(data)
+        except FingerprintError:
+            return
+        assert isinstance(img, GrayImage)
+        assert img.pixels.shape == (img.height, img.width) and img.pixels.dtype == np.uint8
