@@ -21,25 +21,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MinutiaeSet
+from .core import ArrayValue, MinutiaeSet
 from .errors import MissingCore, TooFewPoints
 
 MAX_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(ArrayValue):
     """Outcome of one k-means run over core-relative minutiae."""
 
-    k: int
     centroids: np.ndarray  # (k, 2), core-relative pixels
     assignment: np.ndarray  # (n,) cluster id per minutia
     objective: float  # sum of squared point-to-centroid distances
     iterations: int
 
-    def __post_init__(self):
-        self.centroids.setflags(write=False)
-        self.assignment.setflags(write=False)
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
 
 def _radial_seed_indices(points: np.ndarray, k: int) -> np.ndarray:
@@ -66,8 +65,7 @@ def _dist2(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _means(pts: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """(k, 2) cluster means, each bitwise ``pts[assign == c].mean(axis=0)``
-    (NaN for an empty cluster either way)."""
+    """(k, 2) cluster means, each bitwise ``pts[assign == c].mean(axis=0)``."""
     sums = np.stack([np.bincount(assign, pts[:, 0], k), np.bincount(assign, pts[:, 1], k)], axis=1)
     return sums / np.bincount(assign, minlength=k)[:, None]
 
@@ -79,16 +77,18 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
     reseeded with the point currently farthest from its centroid. Stops when
     the assignment is stable or after 500 iterations. The objective is
     non-increasing across iterations and the result is a Lloyd fixed point.
+    Fewer than k distinct core-relative points raise TooFewPoints: copies of
+    one point share their nearest centroid, so no assignment keeps k clusters.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if mset.core is None:
         raise MissingCore("k-means needs a core point (the file's CORE line)")
     n = len(mset)
-    if n < k:
-        raise TooFewPoints(f"{n} minutiae cannot form {k} clusters")
-
     pts = mset.xy - (mset.core.x, mset.core.y)
+    distinct = len(set(map(tuple, pts.tolist())))
+    if distinct < k:
+        raise TooFewPoints(f"{distinct} distinct minutiae cannot form {k} clusters")
 
     centroids = pts[_radial_seed_indices(pts, k)].copy()
     prev_assign: np.ndarray | None = None
@@ -100,18 +100,20 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
         d2 = _dist2(pts, centroids)
         assign = np.argmin(d2, axis=1)
 
-        # Reseed emptied clusters (ascending id) with the worst-fitted point.
+        # Reseed the lowest emptied cluster with the worst-fitted point until
+        # none is empty (a reseeding can empty a cluster reseeded before).
+        # With k distinct points a cost is positive, unless it underflows.
         repaired = False
-        if np.bincount(assign, minlength=k).min() == 0:
-            for empty in range(k):
-                if np.any(assign == empty):
-                    continue
-                cost = d2[np.arange(n), assign]
-                worst = int(np.argmax(cost))
-                centroids[empty] = pts[worst]
-                assign[worst] = empty
-                d2[:, empty] = _dist2(pts, centroids[empty : empty + 1])[:, 0]
-                repaired = True
+        while (counts := np.bincount(assign, minlength=k)).min() == 0:
+            cost = d2[np.arange(n), assign]
+            worst = int(np.argmax(cost))
+            if cost[worst] == 0.0:
+                raise TooFewPoints(f"minutiae too close together to form {k} clusters")
+            empty = int(np.argmin(counts))
+            centroids[empty] = pts[worst]
+            assign[worst] = empty
+            d2[:, empty] = _dist2(pts, centroids[empty : empty + 1])[:, 0]
+            repaired = True
 
         obj = float(d2[np.arange(n), assign].sum())
         if obj > prev_obj + 1e-9:
@@ -129,10 +131,5 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
 
     d2 = _dist2(pts, centroids)
     objective = float(d2[np.arange(n), assign].sum())
-    return ClusterResult(
-        k=k,
-        centroids=centroids,
-        assignment=assign.astype(np.intp),
-        objective=objective,
-        iterations=iterations,
-    )
+    assignment = assign.astype(np.intp)
+    return ClusterResult(centroids=centroids, assignment=assignment, objective=objective, iterations=iterations)

@@ -21,7 +21,7 @@ through ``parse_minutiae(serialize_minutiae(s))``.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -109,25 +109,43 @@ class RigidTransform:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MinutiaeSet:
+def _rebuild(cls, values: dict):
+    return cls(**values)
+
+
+class ArrayValue:
+    """Base of the frozen dataclasses that hold numpy arrays: each array field
+    is made read-only, and a copy, a deep copy or an unpickled value is rebuilt
+    through the constructor, where restoring its state would leave the arrays
+    writable."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), {f.name: getattr(self, f.name) for f in fields(self)})
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class MinutiaeSet(ArrayValue):
     """Minutiae of one impression, in file order, plus an optional core point.
 
     The set is held as read-only arrays, built from Minutia objects or given
-    directly; ``minutiae`` wins when both are given, as ``dataclasses.replace``
-    gives both, so change the arrays by building a new set, not by ``replace``.
-    Reading ``minutiae`` returns a tuple of Minutia views.
+    directly; ``minutiae`` wins when both are given. ``dataclasses.replace``
+    builds the set from the arrays or the ``minutiae`` it is given. Reading
+    ``minutiae`` returns a tuple of Minutia views.
     """
 
-    minutiae: InitVar[tuple[Minutia, ...] | None] = None
-    core: CorePoint | None = None
-    source_id: str = ""
-    xy: np.ndarray | None = None  # (n, 2) float64 positions
-    theta: np.ndarray | None = None  # (n,) directions, wrapped into [0, 2*pi)
-    kind: np.ndarray | None = None  # (n,) MIN1 kind codes
+    core: CorePoint | None
+    source_id: str
+    xy: np.ndarray  # (n, 2) float64 positions
+    theta: np.ndarray  # (n,) directions, wrapped into [0, 2*pi)
+    kind: np.ndarray  # (n,) MIN1 kind codes
 
-    def __post_init__(self, minutiae):
-        xy, theta, kind = self.xy, self.theta, self.kind
+    def __init__(self, minutiae=None, core=None, source_id="", xy=None, theta=None, kind=None):
         if minutiae is not None or xy is None:
             ms = tuple(minutiae or ())
             xy, theta, kind = [(m.x, m.y) for m in ms], [m.theta for m in ms], [m.kind.value for m in ms]
@@ -137,17 +155,12 @@ class MinutiaeSet:
         rows_ok = len(xy) == len(theta) == len(kind) and set(kind.tolist()) <= _KIND_CODES
         if not (rows_ok and np.isfinite(xy).all() and np.isfinite(theta).all()):
             raise ValueError("each minutia needs a finite position and direction and a kind code E or B")
-        for name, arr in (("xy", xy), ("theta", theta), ("kind", kind)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, value in zip(("core", "source_id", "xy", "theta", "kind"), (core, source_id, xy, theta, kind)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __len__(self) -> int:
         return len(self.xy)
-
-    def __reduce__(self):
-        # Copies and unpickled sets go through the constructor, which makes
-        # their arrays read-only again.
-        return MinutiaeSet, (None, self.core, self.source_id, self.xy, self.theta, self.kind)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -156,19 +169,15 @@ class MinutiaeSet:
         same = all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
         return same and (self.core, self.source_id) == (other.core, other.source_id)
 
+    @property
+    def minutiae(self) -> tuple[Minutia, ...]:
+        """The minutiae as a tuple of Minutia."""
+        rows = zip(self.xy.tolist(), self.theta.tolist(), self.kind.tolist())
+        return tuple(Minutia(x, y, t, MinutiaKind(k)) for (x, y), t, k in rows)
+
     def coords(self) -> np.ndarray:
         """The (n, 2) float64 array of minutia positions, in file order (read-only)."""
         return self.xy
-
-
-def _minutiae_view(mset: MinutiaeSet) -> tuple[Minutia, ...]:
-    rows = zip(mset.xy.tolist(), mset.theta.tolist(), mset.kind.tolist())
-    return tuple(Minutia(x, y, t, MinutiaKind(k)) for (x, y), t, k in rows)
-
-
-# Set after the class is built, so that the constructor keeps None as the
-# default of its ``minutiae`` argument.
-MinutiaeSet.minutiae = property(_minutiae_view, doc="The minutiae as a tuple of Minutia.")
 
 
 def apply_transform(mset: MinutiaeSet, t: RigidTransform) -> MinutiaeSet:

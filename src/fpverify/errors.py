@@ -54,7 +54,7 @@ class UntrainedMap(FingerprintError):
 
 
 class TooFewPoints(FingerprintError):
-    """Fewer minutiae than requested clusters."""
+    """Fewer distinct minutiae than requested clusters."""
 
 
 class MissingCore(FingerprintError):

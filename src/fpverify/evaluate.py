@@ -33,19 +33,28 @@ def compute_far(wrong_accepts: int, trials: int) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    far_percent: float
-    frr_percent: float
-    accuracy_percent: float
+    """The counts of one evaluation; the three rates follow from them."""
+
     wrong_accepts: int  # F
     wrong_rejects: int  # R
     trials: int  # S
 
     def __post_init__(self):
-        if self.far_percent != compute_far(self.wrong_accepts, self.trials):
-            raise ValueError("far_percent must equal F/S*100 exactly")
-        for pct in (self.far_percent, self.frr_percent, self.accuracy_percent):
-            if not 0.0 <= pct <= 100.0:
-                raise ValueError("percentages must lie in [0, 100]")
+        f, r, s = self.wrong_accepts, self.wrong_rejects, self.trials
+        if min(f, r) < 0 or f + r > s or s < 1:
+            raise ValueError("counts must satisfy F, R >= 0, F + R <= S and S >= 1")
+
+    @property
+    def far_percent(self) -> float:
+        return compute_far(self.wrong_accepts, self.trials)
+
+    @property
+    def frr_percent(self) -> float:
+        return self.wrong_rejects / self.trials * 100.0
+
+    @property
+    def accuracy_percent(self) -> float:
+        return (self.trials - self.wrong_accepts - self.wrong_rejects) / self.trials * 100.0
 
 
 @dataclass(frozen=True)
@@ -168,15 +177,7 @@ def report_at(outcomes: list[TrialOutcome], tau: float) -> EvalReport:
         raise EmptyScenario("no trial outcomes")
     f = sum(1 for o in outcomes if not o.genuine and o.accepted(tau))
     r = sum(1 for o in outcomes if o.genuine and not o.accepted(tau))
-    s = len(outcomes)
-    return EvalReport(
-        far_percent=compute_far(f, s),
-        frr_percent=r / s * 100.0,
-        accuracy_percent=(s - f - r) / s * 100.0,
-        wrong_accepts=f,
-        wrong_rejects=r,
-        trials=s,
-    )
+    return EvalReport(wrong_accepts=f, wrong_rejects=r, trials=len(outcomes))
 
 
 def run_eval(

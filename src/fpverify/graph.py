@@ -12,23 +12,21 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ArrayValue
 from .errors import NearTieWarning, SingletonGraph
 
 TIE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(ArrayValue):
     """Symmetric Euclidean distances between cluster centroids."""
 
     values: np.ndarray  # (k, k)
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -106,31 +104,31 @@ def build_nn_graph(dm: DistanceMatrix) -> MinutiaeGraph:
 
 @dataclass(frozen=True)
 class GraphIndex:
-    """Four-parameter graph summary used as the enrollment bucket key."""
+    """Four-parameter graph summary used as the enrollment bucket key. The
+    descending degree sequence fixes the other three parameters."""
 
-    vertex_count: int
     degree_sequence: tuple[int, ...]  # descending
-    max_degree: int
-    degree_multiplicity: dict[int, int] = field(compare=True, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "degree_sequence", tuple(self.degree_sequence))
         if tuple(sorted(self.degree_sequence, reverse=True)) != self.degree_sequence:
             raise ValueError("degree sequence must be sorted descending")
-        if self.degree_sequence and self.max_degree != self.degree_sequence[0]:
-            raise ValueError("max_degree must head the degree sequence")
-        if sum(self.degree_multiplicity.values()) != self.vertex_count:
-            raise ValueError("degree multiplicities must cover every vertex")
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.degree_sequence)
+
+    @property
+    def max_degree(self) -> int:
+        return self.degree_sequence[0] if self.degree_sequence else 0
+
+    @property
+    def degree_multiplicity(self) -> dict[int, int]:
+        return dict(Counter(self.degree_sequence))
 
 
 def compute_index(g: MinutiaeGraph) -> GraphIndex:
-    degrees = sorted(g.degree_map().values(), reverse=True)
-    return GraphIndex(
-        vertex_count=len(g.vertices),
-        degree_sequence=tuple(degrees),
-        max_degree=degrees[0] if degrees else 0,
-        degree_multiplicity=dict(Counter(degrees)),
-    )
+    return GraphIndex(tuple(sorted(g.degree_map().values(), reverse=True)))
 
 
 def index_string(idx: GraphIndex) -> str:
@@ -145,26 +143,16 @@ def index_string(idx: GraphIndex) -> str:
 
 
 def parse_index_string(s: str) -> GraphIndex:
-    """Inverse of index_string."""
+    """Inverse of index_string: the index of its D part, when index_string
+    gives ``s`` back unchanged from it, else ValueError."""
     try:
-        v_part, d_part, h_part, m_part = s.split("|")
-        if v_part[0] != "V" or d_part[0] != "D" or h_part[0] != "H" or m_part[0] != "M":
+        degrees = s.split("|")[1][1:]
+        idx = GraphIndex(tuple(int(t) for t in degrees.split(",")) if degrees else ())
+        if index_string(idx) != s:
             raise ValueError
-        count = int(v_part[1:])
-        degrees = tuple(int(t) for t in d_part[1:].split(",")) if d_part[1:] else ()
-        max_degree = int(h_part[1:])
-        mult: dict[int, int] = {}
-        for item in m_part[1:].split(","):
-            d, c = item.split(":")
-            mult[int(d)] = int(c)
     except (ValueError, IndexError) as exc:
         raise ValueError(f"not a canonical index string: {s!r}") from exc
-    return GraphIndex(
-        vertex_count=count,
-        degree_sequence=degrees,
-        max_degree=max_degree,
-        degree_multiplicity=mult,
-    )
+    return idx
 
 
 def is_isomorphic(g1: MinutiaeGraph, g2: MinutiaeGraph) -> bool:

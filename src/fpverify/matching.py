@@ -132,7 +132,6 @@ def modified_hausdorff(m_points, n_points) -> float:
 class MatchScore:
     """All four distances for one probe/template comparison."""
 
-    hausdorff: float
     mhd: float
     directed_ab: float
     directed_ba: float
@@ -140,10 +139,13 @@ class MatchScore:
     threshold_used: float
 
     def __post_init__(self):
-        if self.hausdorff != max(self.directed_ab, self.directed_ba):
-            raise ValueError("hausdorff must equal the larger directed distance")
         if not (0.0 <= self.mhd <= self.hausdorff + 1e-12):
             raise ValueError("mhd must lie in [0, hausdorff]")
+
+    @property
+    def hausdorff(self) -> float:
+        """Symmetric Hausdorff: the larger directed distance."""
+        return max(self.directed_ab, self.directed_ba)
 
 
 def check_tau(tau: float) -> None:
@@ -161,14 +163,7 @@ def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
     d_ba = float(b_to_a.max())
     mhd = float(mhd_of(a_to_b, b_to_a))
     decision = Decision.ACCEPT if mhd <= tau else Decision.REJECT
-    return MatchScore(
-        hausdorff=max(d_ab, d_ba),
-        mhd=mhd,
-        directed_ab=d_ab,
-        directed_ba=d_ba,
-        decision=decision,
-        threshold_used=tau,
-    )
+    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, decision=decision, threshold_used=tau)
 
 
 def match_decision(probe: MinutiaeSet, template: MinutiaeSet, tau: float = DEFAULT_TAU) -> MatchScore:

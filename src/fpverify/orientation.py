@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CorePoint
+from .core import ArrayValue, CorePoint
 from .errors import ImageTooSmall, MalformedImage, NoForeground, LowConfidenceCoreWarning
 
 BLOCK_SIZE = 16
@@ -42,28 +42,34 @@ class FingerClass(Enum):
 
 
 @dataclass(frozen=True)
-class GrayImage:
+class GrayImage(ArrayValue):
     """8-bit grayscale image, row-major."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8).reshape(self.height, self.width)
+        px = np.asarray(self.pixels, dtype=np.uint8)
+        if px.ndim != 2:
+            raise ValueError("expected a 2-D intensity array")
         object.__setattr__(self, "pixels", px)
-        px.setflags(write=False)
+        super().__post_init__()
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
     @classmethod
     def from_array(cls, arr) -> "GrayImage":
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D intensity array")
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a.astype(np.uint8))
+        """An image of a copy of the 2-D array, cast to uint8."""
+        return cls(np.asarray(arr).astype(np.uint8))
 
 
 @dataclass(frozen=True)
-class OrientationField:
+class OrientationField(ArrayValue):
     """Per-block ridge directions in [0, pi) with certainties in [0, 1]."""
 
     directions: np.ndarray  # (rows, cols) radians
@@ -81,8 +87,7 @@ class OrientationField:
             raise ValueError("certainties must lie in [0, 1]")
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "certainties", c)
-        d.setflags(write=False)
-        c.setflags(write=False)
+        super().__post_init__()
 
     @property
     def rows(self) -> int:
@@ -94,7 +99,7 @@ class OrientationField:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(ArrayValue):
     """Flattened 16x16 block window around the core: 256 directions + certainties."""
 
     directions: np.ndarray  # (256,)
@@ -108,8 +113,7 @@ class FeatureVector:
             raise ValueError(f"feature vectors carry exactly {FEATURE_LEN} components")
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "certainties", c)
-        d.setflags(write=False)
-        c.setflags(write=False)
+        super().__post_init__()
 
 
 def estimate_block_directions(img: GrayImage, block_size: int = BLOCK_SIZE) -> OrientationField:
@@ -318,7 +322,7 @@ def read_pgm(source) -> GrayImage:
         px = np.array(levels, dtype=np.uint8)
     if int(px.max(initial=0)) > maxval:
         raise MalformedImage("pixel value exceeds declared maxval")
-    return GrayImage(width=width, height=height, pixels=px.reshape(height, width))
+    return GrayImage(px.reshape(height, width))
 
 
 def write_pgm(img: GrayImage, path) -> None:

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .cluster import kmeans_fing
-from .core import MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
+from .core import ArrayValue, MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
 from .errors import DuplicateId, FingerprintError, UnknownId
 from .graph import (
     MinutiaeGraph,
@@ -66,8 +66,9 @@ _INDEX_K = re.compile(r"V(\d+)\|")  # the vertex count that leads an index key
 
 
 @dataclass(frozen=True)
-class Signature:
-    """The template the three gates compare, derived from one impression."""
+class Signature(ArrayValue):
+    """The template the three gates compare, derived from one impression.
+    The graph, key and centroids cache what the minutiae derive with k."""
 
     graph: MinutiaeGraph
     index_key: str

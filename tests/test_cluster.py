@@ -1,11 +1,10 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from fpverify.cluster import ClusterResult, kmeans_fing, radial_seed
+from fpverify.cluster import MAX_ITERATIONS, ClusterResult, kmeans_fing, radial_seed
 from fpverify.core import CorePoint, Minutia, MinutiaeSet, RigidTransform, apply_transform
 from fpverify.errors import MissingCore, TooFewPoints
 
@@ -62,9 +61,8 @@ def per_cluster_lloyd(points, k):
         d2 = dist2(centroids)
         assign = np.argmin(d2, axis=1)
         repaired = False
-        for empty in range(k):
-            if np.any(assign == empty):
-                continue
+        while not all(np.any(assign == c) for c in range(k)):
+            empty = next(c for c in range(k) if not np.any(assign == c))
             worst = int(np.argmax(d2[np.arange(n), assign]))
             centroids[empty] = pts[worst]
             assign[worst] = empty
@@ -164,29 +162,57 @@ class TestKmeansFing:
 
     def test_equals_the_per_cluster_loop_bitwise(self):
         # Spread sets, and small sets of repeated grid points whose repeated
-        # seeds empty clusters, so that the reseeding runs (often up to the
-        # iteration cap). A reseeding can empty a cluster already passed,
-        # whose mean is then NaN on both sides.
+        # seeds empty clusters, so that the reseeding runs. A set of fewer
+        # than k distinct points raises instead.
         rng = np.random.default_rng(14)
         sets = []
         for _ in range(150):
             sets.append((rng.uniform(-150, 150, size=(int(rng.integers(9, 40)), 2)), int(rng.integers(1, 10))))
-        for _ in range(40):
+        for _ in range(80):
             pts = rng.integers(-3, 4, size=(int(rng.integers(2, 9)), 2)).astype(float)
             pts[: len(pts) // 2] = pts[0]
             sets.append((pts, int(rng.integers(2, len(pts) + 1))))
         repaired = 0
         for pts, k in sets:
-            with warnings.catch_warnings(), np.errstate(invalid="ignore"):
-                warnings.simplefilter("ignore", RuntimeWarning)
-                centroids, assign, objective, iterations, ever_repaired = per_cluster_lloyd(pts, k)
-                res = kmeans_fing(mset(pts), k)
+            if len(np.unique(pts, axis=0)) < k:
+                with pytest.raises(TooFewPoints):
+                    kmeans_fing(mset(pts), k)
+                continue
+            centroids, assign, objective, iterations, ever_repaired = per_cluster_lloyd(pts, k)
+            res = kmeans_fing(mset(pts), k)
             assert res.centroids.tobytes() == centroids.tobytes()
             assert np.array_equal(res.assignment, assign)
-            assert (math.isnan(res.objective) and math.isnan(objective)) or res.objective == objective
+            assert res.objective == objective
             assert res.iterations == iterations
             repaired += ever_repaired
         assert repaired >= 10
+
+
+    def test_points_whose_squared_distance_underflows_raise(self):
+        # Distinct, but every squared distance between them rounds to 0.
+        with pytest.raises(TooFewPoints):
+            kmeans_fing(mset([(0.0, 0.0), (1e-170, 0.0)]), 2)
+
+    @pytest.mark.parametrize("spacing, offset", [(1.0, 0.0), (0.1, 0.37)])
+    def test_repeated_points_converge_or_raise(self, spacing, offset):
+        # Sets of 3-9 points of a 3x3 grid. Fewer than k distinct points
+        # raise; every other set reaches a fixed point below the iteration
+        # cap. At 0.1 spacing the mean of copies of a point can be an ulp off.
+        rng = np.random.default_rng(1)
+        raised = 0
+        for _ in range(500):
+            n = int(rng.integers(3, 10))
+            pts = rng.integers(-1, 2, size=(n, 2)) * spacing + offset
+            k = int(rng.integers(2, min(6, n) + 1))
+            if len(np.unique(pts, axis=0)) < k:
+                with pytest.raises(TooFewPoints):
+                    kmeans_fing(mset(pts), k)
+                raised += 1
+                continue
+            res = kmeans_fing(mset(pts), k)
+            assert res.iterations < MAX_ITERATIONS and np.isfinite(res.centroids).all()
+            assert is_lloyd_fixed_point(pts, res)
+        assert 0 < raised < 500
 
 
 class TestInvariance:

@@ -294,6 +294,27 @@ class TestMinutiaeSetArrays:
         first_two = MinutiaeSet(minutiae=s.minutiae[:2], core=s.core, source_id="f")
         assert short == first_two and np.array_equal(short.xy, s.xy[:2])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("xy", lambda s: s.xy + 1.0),
+            ("theta", lambda s: s.theta[::-1]),
+            ("kind", lambda s: np.array(["B", "B", "B"])),
+            ("source_id", lambda s: "g"),
+            ("core", lambda s: CorePoint(0.0, 0.0)),
+            ("minutiae", lambda s: s.minutiae[::-1]),
+        ],
+    )
+    def test_replace_changes_that_field_alone(self, s, field, value):
+        out = dataclasses.replace(s, **{field: value(s)})
+        expected = {"xy": s.xy, "theta": s.theta, "kind": s.kind, "source_id": s.source_id, "core": s.core}
+        if field == "minutiae":
+            expected.update(xy=s.xy[::-1], theta=s.theta[::-1], kind=s.kind[::-1])
+        else:
+            expected[field] = value(s)
+        assert out == MinutiaeSet(**expected)
+        assert not any(a.flags.writeable for a in (out.xy, out.theta, out.kind))
+
     def test_replace_source_id_keeps_the_arrays(self, s):
         renamed = dataclasses.replace(s, source_id="g")
         assert renamed.source_id == "g" and renamed != s

@@ -121,24 +121,15 @@ class TestRunEval:
         assert a == b
 
     def test_report_invariant(self):
-        report = EvalReport(
-            far_percent=25.0,
-            frr_percent=0.0,
-            accuracy_percent=75.0,
-            wrong_accepts=1,
-            wrong_rejects=0,
-            trials=4,
-        )
-        assert report.far_percent == 25.0
-        with pytest.raises(ValueError):
-            EvalReport(
-                far_percent=10.0,
-                frr_percent=0.0,
-                accuracy_percent=75.0,
-                wrong_accepts=1,
-                wrong_rejects=0,
-                trials=4,
-            )
+        # The rates follow from the counts F, R and S alone.
+        report = EvalReport(wrong_accepts=1, wrong_rejects=2, trials=7)
+        assert report.far_percent == compute_far(1, 7) == 1 / 7 * 100.0
+        assert report.frr_percent == 2 / 7 * 100.0
+        assert report.accuracy_percent == (7 - 1 - 2) / 7 * 100.0
+        assert EvalReport(wrong_accepts=3, wrong_rejects=1, trials=4).accuracy_percent == 0.0
+        for f, r, s in ((3, 2, 4), (-1, 0, 4), (0, -1, 4), (4, 1, 4), (0, 0, 0)):
+            with pytest.raises(ValueError):
+                EvalReport(wrong_accepts=f, wrong_rejects=r, trials=s)
 
     def test_report_text_table(self):
         scenario = small_scenario(genuine_pairs=6, imposter_pairs=6)

@@ -37,6 +37,7 @@ PATH3 = graph_from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 C6 = graph_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 TWO_TRIANGLES = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+DEGREE_SEQUENCES = st.lists(st.integers(0, 12), max_size=12).map(lambda ds: tuple(sorted(ds, reverse=True)))
 
 
 class TestDistMatrix:
@@ -124,10 +125,30 @@ class TestIndex:
             assert sum(idx.degree_multiplicity.values()) == idx.vertex_count
 
     def test_parse_rejects_noise(self):
-        with pytest.raises(ValueError):
-            parse_index_string("V3|D2,1,1|H2")
-        with pytest.raises(ValueError):
-            parse_index_string("X3|D2|H2|M2:1")
+        # The last three are non-canonical forms of V3|D2,1,1|H2|M1:2,2:1.
+        for s in (
+            "V3|D2,1,1|H2",
+            "X3|D2|H2|M2:1",
+            "V03|D2,1,1|H2|M1:2,2:1",
+            "V3|D2,1,1|H2|M2:1,1:2",
+            "V3|D2, 1,1|H2|M1:2,2:1",
+        ):
+            with pytest.raises(ValueError):
+                parse_index_string(s)
+
+    @given(seq=DEGREE_SEQUENCES, other=DEGREE_SEQUENCES)
+    @settings(max_examples=200, deadline=None)
+    def test_index_string_round_trips_and_parts_must_agree(self, seq, other):
+        # The D part fixes V, H and M: another sequence's V, H or M part
+        # spliced in, where it differs, makes the string no index string.
+        idx = GraphIndex(seq)
+        parts = index_string(idx).split("|")
+        assert parse_index_string("|".join(parts)) == idx
+        alien = index_string(GraphIndex(other)).split("|")
+        for i in (0, 2, 3):
+            if alien[i] != parts[i]:
+                with pytest.raises(ValueError):
+                    parse_index_string("|".join(parts[:i] + [alien[i]] + parts[i + 1 :]))
 
 
 class TestIsomorphism:

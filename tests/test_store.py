@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import shutil
 import tempfile
 from pathlib import Path
@@ -17,9 +20,11 @@ from fpverify.core import (
     serialize_minutiae,
     to_core_relative,
 )
+from fpverify.cluster import kmeans_fing
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
+from fpverify.graph import dist_matrix
 from fpverify.matching import Decision, modified_hausdorff
-from fpverify.orientation import FingerClass
+from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
     TemplateRecord,
     TemplateStore,
@@ -559,3 +564,46 @@ class TestFuzz:
             except FingerprintError:
                 return
             assert len(store.ids()) == len(store)
+
+
+def _arrays(value):
+    """Every array a value holds, through its dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        fields = dataclasses.fields(a)
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields)
+    return a == b
+
+
+VALUES = {
+    "MinutiaeSet": lambda: finger(1),
+    "GrayImage": lambda: GrayImage.from_array(np.arange(12).reshape(3, 4)),
+    "OrientationField": lambda: OrientationField(np.full((2, 3), 0.5), np.full((2, 3), 0.25)),
+    "FeatureVector": lambda: FeatureVector(np.full(FEATURE_LEN, 0.5), np.ones(FEATURE_LEN), FingerClass.ARCH),
+    "ClusterResult": lambda: kmeans_fing(finger(1), 5),
+    "DistanceMatrix": lambda: dist_matrix(kmeans_fing(finger(1), 5).centroids),
+    "Signature": lambda: compute_signature(finger(1)),
+    "TemplateRecord": lambda: TemplateRecord(
+        **vars(compute_signature(finger(1))), id="a", class_label=FingerClass.WHORL, enrolled_at="2010-01-01"
+    ),
+}
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+@pytest.mark.parametrize("name", list(VALUES))
+def test_copies_keep_read_only_arrays_in_every_value_type(name, clone):
+    # A copy or an unpickled value is rebuilt through its constructor.
+    value = VALUES[name]()
+    other = clone(value)
+    assert _same(other, value)
+    arrays = list(_arrays(other))
+    assert arrays and not any(a.flags.writeable for a in arrays)
