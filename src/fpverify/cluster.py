@@ -27,7 +27,7 @@ from .errors import MissingCore, TooFewPoints
 MAX_ITERATIONS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterResult(ArrayValue):
     """Outcome of one k-means run over core-relative minutiae."""
 

@@ -117,7 +117,9 @@ class ArrayValue:
     """Base of the frozen dataclasses that hold numpy arrays: each array field
     is made read-only, and a copy, a deep copy or an unpickled value is rebuilt
     through the constructor, where restoring its state would leave the arrays
-    writable."""
+    writable. Two values are equal when they are of one class and every field
+    is equal, arrays by ``np.array_equal``; subclasses pass ``eq=False`` to
+    ``dataclass`` so that this ``__eq__`` stays theirs."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -127,6 +129,12 @@ class ArrayValue:
 
     def __reduce__(self):
         return _rebuild, (type(self), {f.name: getattr(self, f.name) for f in fields(self)})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -161,13 +169,6 @@ class MinutiaeSet(ArrayValue):
 
     def __len__(self) -> int:
         return len(self.xy)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        arrays = ("xy", "theta", "kind")
-        same = all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays)
-        return same and (self.core, self.source_id) == (other.core, other.source_id)
 
     @property
     def minutiae(self) -> tuple[Minutia, ...]:

@@ -5,7 +5,10 @@ is kept (no edge lengths or angles). The index summarizes the graph by
 vertex count, descending degree sequence, highest degree, and the number of
 vertices per degree. Equal indexes do NOT imply isomorphic graphs (a 6-cycle
 and two disjoint triangles share an index), so the index serves as a
-database bucket key and the exact isomorphism test makes the call.
+database bucket key and the exact isomorphism test makes the call. The index
+is that test's one invariant: unequal indexes reject, and equal ones go to a
+backtracking search whose one pruning rule is an adjacency test against the
+vertices mapped so far.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import NearTieWarning, SingletonGraph
 TIE_GAP = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix(ArrayValue):
     """Symmetric Euclidean distances between cluster centroids."""
 
@@ -156,61 +159,27 @@ def parse_index_string(s: str) -> GraphIndex:
 
 
 def is_isomorphic(g1: MinutiaeGraph, g2: MinutiaeGraph) -> bool:
-    """Exact isomorphism by backtracking over degree-compatible mappings.
-
-    Rejects early on vertex count, edge count, or degree sequence mismatch.
-    No heuristics beyond candidate pruning: feasible for the small graphs
-    (k up to ~20) this pipeline produces.
-    """
-    n = len(g1.vertices)
-    if n != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    """Exact: equal gate-1 indexes (which fix the vertex and edge counts), then
+    one backtracking search. It maps g1's vertices, highest degree first, each
+    to an unused g2 vertex of equal degree whose adjacency agrees with every
+    mapped pair (w, x): (w ~ u) == (x ~ v)."""
+    if compute_index(g1) != compute_index(g2):
         return False
-
-    v1 = list(g1.vertices)
-    v2 = list(g2.vertices)
-    adj1 = g1.adjacency()
-    adj2 = g2.adjacency()
-    deg1 = {v: len(adj1[v]) for v in v1}
-    deg2 = {v: len(adj2[v]) for v in v2}
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return False
-
-    # Neighbor-degree signatures sharpen the candidate sets before search.
-    sig1 = {v: (deg1[v], tuple(sorted(deg1[u] for u in adj1[v]))) for v in v1}
-    sig2 = {v: (deg2[v], tuple(sorted(deg2[u] for u in adj2[v]))) for v in v2}
-    if sorted(sig1.values()) != sorted(sig2.values()):
-        return False
-
-    candidates = {u: [v for v in v2 if sig2[v] == sig1[u]] for u in v1}
-    order = sorted(v1, key=lambda u: len(candidates[u]))
+    adj1, adj2 = g1.adjacency(), g2.adjacency()
+    order = sorted(g1.vertices, key=lambda u: -len(adj1[u]))
     mapping: dict[int, int] = {}
-    used: set[int] = set()
 
-    def extend(idx: int) -> bool:
-        if idx == n:
+    def extend(i: int) -> bool:
+        if i == len(order):
             return True
-        u = order[idx]
-        for v in candidates[u]:
-            if v in used:
-                continue
-            ok = True
-            for w in adj1[u]:
-                if w in mapping and mapping[w] not in adj2[v]:
-                    ok = False
-                    break
-            if ok:
-                mapped_neighbors = sum(1 for w in adj1[u] if w in mapping)
-                back_neighbors = sum(1 for w in adj2[v] if w in used)
-                if mapped_neighbors != back_neighbors:
-                    ok = False
-            if not ok:
-                continue
-            mapping[u] = v
-            used.add(v)
-            if extend(idx + 1):
-                return True
-            del mapping[u]
-            used.remove(v)
+        u = order[i]
+        for v in g2.vertices:
+            if v not in mapping.values() and len(adj2[v]) == len(adj1[u]):
+                if all((w in adj1[u]) == (x in adj2[v]) for w, x in mapping.items()):
+                    mapping[u] = v
+                    if extend(i + 1):
+                        return True
+                    del mapping[u]
         return False
 
     return extend(0)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ArrayValue, CorePoint
+from .core import MAX_COORDINATE, ArrayValue, CorePoint
 from .errors import ImageTooSmall, MalformedImage, NoForeground, LowConfidenceCoreWarning
 
 BLOCK_SIZE = 16
@@ -41,7 +41,7 @@ class FingerClass(Enum):
     WHORL = "whorl"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayImage(ArrayValue):
     """8-bit grayscale image, row-major."""
 
@@ -68,9 +68,10 @@ class GrayImage(ArrayValue):
         return cls(np.asarray(arr).astype(np.uint8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrientationField(ArrayValue):
-    """Per-block ridge directions in [0, pi) with certainties in [0, 1]."""
+    """Per-block ridge directions in [0, pi) with certainties in [0, 1], over
+    blocks of at least 1 pixel a side."""
 
     directions: np.ndarray  # (rows, cols) radians
     certainties: np.ndarray  # (rows, cols)
@@ -81,10 +82,13 @@ class OrientationField(ArrayValue):
         c = np.asarray(self.certainties, dtype=np.float64)
         if d.shape != c.shape or d.ndim != 2:
             raise ValueError("direction and certainty grids must share one 2-D shape")
-        if np.any(d < 0.0) or np.any(d >= np.pi):
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not np.all((d >= 0.0) & (d < np.pi)):
             raise ValueError("directions must lie in [0, pi)")
-        if np.any(c < 0.0) or np.any(c > 1.0):
+        if not np.all((c >= 0.0) & (c <= 1.0)):
             raise ValueError("certainties must lie in [0, 1]")
+        if not 1 <= self.block_size <= MAX_COORDINATE:
+            raise ValueError(f"block size must lie in [1, {MAX_COORDINATE:g}]")
         object.__setattr__(self, "directions", d)
         object.__setattr__(self, "certainties", c)
         super().__post_init__()
@@ -98,7 +102,7 @@ class OrientationField(ArrayValue):
         return self.directions.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureVector(ArrayValue):
     """Flattened 16x16 block window around the core: 256 directions + certainties."""
 

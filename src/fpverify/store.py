@@ -65,7 +65,7 @@ _MAX_K_DIGITS = 4  # k-means over 10,000 clusters is no template any store can h
 _INDEX_K = re.compile(r"V(\d+)\|")  # the vertex count that leads an index key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signature(ArrayValue):
     """The template the three gates compare, derived from one impression.
     The graph, key and centroids cache what the minutiae derive with k."""
@@ -88,7 +88,7 @@ def compute_signature(mset: MinutiaeSet, k: int = DEFAULT_K) -> Signature:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateRecord(Signature):
     """An enrolled signature: the template plus its id, class and time."""
 

@@ -230,6 +230,17 @@ class TestBadInput:
         assert run("classify", "--map", map_path, header_only) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_field_with_block_size_zero_is_data_error(self, field_and_map, tmp_path, capsys):
+        # Block size 0 divided by zero in extract_feature_vector: exit 4.
+        field, map_path = field_and_map
+        lines = field.read_text().splitlines()
+        lines[0] = " ".join(lines[0].split()[:3] + ["0"])
+        zero = tmp_path / "z.of1"
+        zero.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("classify", "--map", map_path, zero) == 3
+        assert "block size" in capsys.readouterr().err
+
     @pytest.mark.parametrize("pixel", ["300", "-1"])
     def test_p2_pixel_out_of_range_is_data_error(self, tmp_path, pixel, capsys):
         # The uint8 cast used to raise OverflowError first: exit 4, "internal error".

@@ -179,8 +179,12 @@ class TestFieldFile:
             b"OF1 2 1 16\nCORE 5\n0 0\n1 1\n",
             b"OF1 2 1 16\n0 zero\n1 1\n",
             b"OF1 2 1 16\n0 9\n1 1\n",
+            b"OF1 2 1 0\n0 0\n1 1\n",
+            b"OF1 2 1 -16\n0 0\n1 1\n",
+            b"OF1 2 1 16\n0 nan\n1 1\n",
+            b"OF1 2 1 16\n0 0\nnan 1\n",
         ],
-        ids=["header", "core", "value", "direction"],
+        ids=["header", "core", "value", "direction", "block-0", "block-negative", "nan-direction", "nan-certainty"],
     )
     def test_malformed_field_raises_fingerprint_error(self, text):
         with pytest.raises(FingerprintError):
