@@ -38,7 +38,6 @@ from .graph import (
     build_nn_graph,
     compute_index,
     dist_matrix,
-    fingerprint_distance,
     index_string,
     is_isomorphic,
     parse_index_string,

@@ -93,10 +93,8 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
     centroids = pts[_radial_seed_indices(pts, k)].copy()
     prev_assign: np.ndarray | None = None
     prev_obj = np.inf
-    iterations = 0
 
-    while iterations < MAX_ITERATIONS:
-        iterations += 1
+    for iterations in range(1, MAX_ITERATIONS + 1):
         d2 = _dist2(pts, centroids)
         assign = np.argmin(d2, axis=1)
 
@@ -125,11 +123,6 @@ def kmeans_fing(mset: MinutiaeSet, k: int) -> ClusterResult:
         prev_assign = assign
         centroids = _means(pts, assign, k)
     else:
-        # Iteration cap: make the reported state self-consistent.
-        assign = prev_assign if prev_assign is not None else np.zeros(n, dtype=np.intp)
-        centroids = _means(pts, assign, k)
-
-    d2 = _dist2(pts, centroids)
-    objective = float(d2[np.arange(n), assign].sum())
-    assignment = assign.astype(np.intp)
-    return ClusterResult(centroids=centroids, assignment=assignment, objective=objective, iterations=iterations)
+        # Iteration cap: the objective of the last means and assignment.
+        obj = float(_dist2(pts, centroids)[np.arange(n), assign].sum())
+    return ClusterResult(centroids=centroids, assignment=assign, objective=obj, iterations=iterations)

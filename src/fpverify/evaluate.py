@@ -160,15 +160,9 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
             max_translation=scenario.max_translation,
         )
         probe_sig = compute_signature(probe_set, k=scenario.k)
-        gates, score, _ = gate_trace(probe_sig, signatures[t_idx], scenario.tau)
-        outcomes.append(
-            TrialOutcome(
-                genuine=genuine,
-                index_ok=gates[0].passed,
-                iso_ok=gates[1].passed,
-                mhd=score.mhd,
-            )
-        )
+        trace = gate_trace(probe_sig, signatures[t_idx], scenario.tau)
+        index_gate, iso_gate, _ = trace.gates
+        outcomes.append(TrialOutcome(genuine, index_gate.passed, iso_gate.passed, trace.score.mhd))
     return outcomes
 
 

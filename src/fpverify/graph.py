@@ -183,8 +183,3 @@ def is_isomorphic(g1: MinutiaeGraph, g2: MinutiaeGraph) -> bool:
         return False
 
     return extend(0)
-
-
-def fingerprint_distance(g1: MinutiaeGraph, g2: MinutiaeGraph) -> int:
-    """0 when the cluster graphs are isomorphic (equivalent prints), else 1."""
-    return 0 if is_isomorphic(g1, g2) else 1

@@ -7,14 +7,17 @@ matrix -> nearest-neighbor graph -> four-parameter index. That template is a
 The store persists one text record per template plus a manifest line
 ``id<TAB>index_key<TAB>file``.
 The manifest alone answers bucket queries, so identification scans it
-without parsing every record. A record (FPREC2) holds only what cannot be
-derived: its id, class, enrollment time, index key and core-relative
-minutiae. Reading one re-derives the centroids, graph and key from the
-minutiae with the k of its key, and raises ``FingerprintError`` unless that
-key is the one on its INDEX line and in the manifest. FPREC1 records, which
-also stored centroids and graph edges, still read; those blocks are skipped.
+without parsing every record, and opening the store raises
+``FingerprintError`` on a key that ``parse_index_string`` rejects. A record
+(FPREC2) holds only what cannot be derived: its id, class, enrollment time,
+index key and core-relative minutiae. Reading one re-derives the centroids,
+graph and key from the minutiae with the k of its key, and raises
+``FingerprintError`` unless that key is the one on its INDEX line and in the
+manifest. FPREC1 records, which also stored centroids and graph edges, still
+read; those blocks are skipped.
 
-Verification walks three gates in order and records each in a trace:
+``gate_trace`` walks three gates in order for one pair and returns its
+``VerifyResult``, which ``verify``, ``identify`` and ``evaluate`` all read:
 
 1. index bucket  - the probe's canonical index string must match,
 2. isomorphism   - the cluster graphs must be isomorphic,
@@ -42,17 +45,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import graph
 from .cluster import kmeans_fing
 from .core import ArrayValue, MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
 from .errors import DuplicateId, FingerprintError, UnknownId
-from .graph import (
-    MinutiaeGraph,
-    build_nn_graph,
-    compute_index,
-    dist_matrix,
-    fingerprint_distance,
-    index_string,
-)
+from .graph import MinutiaeGraph, build_nn_graph, compute_index, dist_matrix, index_string, parse_index_string
 from .matching import DEFAULT_TAU, Decision, MatchScore, check_tau, mhd_of, nearest_distances, score_point_sets
 from .orientation import FingerClass
 
@@ -79,10 +76,10 @@ class Signature(ArrayValue):
 def compute_signature(mset: MinutiaeSet, k: int = DEFAULT_K) -> Signature:
     """Run the fine-level pipeline on one impression, about its own core."""
     clusters = kmeans_fing(mset, k)
-    graph = build_nn_graph(dist_matrix(clusters.centroids))
+    nn_graph = build_nn_graph(dist_matrix(clusters.centroids))
     return Signature(
-        graph=graph,
-        index_key=index_string(compute_index(graph)),
+        graph=nn_graph,
+        index_key=index_string(compute_index(nn_graph)),
         centroids=clusters.centroids,
         minutiae=to_core_relative(mset),
     )
@@ -164,19 +161,21 @@ def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[
     return gates, Decision.ACCEPT if all(g.passed for g in gates) else Decision.REJECT
 
 
-def gate_trace(
-    probe_sig: Signature, template: Signature, tau: float
-) -> tuple[tuple[GateCheck, ...], MatchScore, float]:
-    """Gates, score (decided by ``decide``) and alignment angle for one pair."""
+def gate_trace(probe_sig: Signature, template: Signature, tau: float) -> VerifyResult:
+    """The one result of one pair: its gates, its score as decided by
+    ``decide``, its alignment angle and whether it is accepted. The record id
+    is left empty for the caller that knows it. Gate 2 looks ``is_isomorphic``
+    up on the ``graph`` module at each call, so a wrapper put there sees it."""
     index_ok = probe_sig.index_key == template.index_key
-    iso_ok = fingerprint_distance(probe_sig.graph, template.graph) == 0
+    iso_ok = graph.is_isomorphic(probe_sig.graph, template.graph)
 
     probe_pts = probe_sig.minutiae.coords()
     template_pts = template.minutiae.coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
     score = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts, tau)
     gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
-    return gates, replace(score, decision=decision), angle
+    score = replace(score, decision=decision)
+    return VerifyResult(record_id="", accepted=decision is Decision.ACCEPT, gates=gates, score=score, rotation=angle)
 
 
 class TemplateStore:
@@ -208,6 +207,10 @@ class TemplateStore:
                 rec_id, key, k_digits, fname = fields.groups()
                 if len(k_digits) > _MAX_K_DIGITS:
                     raise FingerprintError(f"manifest line {number}: k has more than {_MAX_K_DIGITS} digits")
+                try:
+                    parse_index_string(key)
+                except ValueError as exc:
+                    raise FingerprintError(f"manifest line {number}: {exc}") from exc
                 # Only a plain file name reads a file of this store; a NUL makes open() raise ValueError.
                 if fname in (".", "..") or any(ch in fname for ch in "/\\\0"):
                     raise FingerprintError(f"manifest line {number}: {fname!r} is not a file name in the store")
@@ -286,14 +289,7 @@ class TemplateStore:
         """Check the probe, clustered with the record's k, through all gates."""
         record = self.get(claimed_id)
         probe_sig = compute_signature(probe, k=len(record.centroids))
-        gates, score, angle = gate_trace(probe_sig, record, tau)
-        return VerifyResult(
-            record_id=claimed_id,
-            accepted=score.decision is Decision.ACCEPT,
-            gates=gates,
-            score=score,
-            rotation=angle,
-        )
+        return replace(gate_trace(probe_sig, record, tau), record_id=claimed_id)
 
     def identify(
         self,
@@ -316,11 +312,8 @@ class TemplateStore:
                 raise FingerprintError(f"store holds templates of k = {named}; give one k (--k)")
             k = ks[0] if ks else DEFAULT_K
         probe_sig = compute_signature(probe, k=k)
-        results: list[tuple[str, MatchScore]] = []
-        for rid in self.bucket(probe_sig.index_key):
-            record = self.get(rid)
-            _, score, _ = gate_trace(probe_sig, record, tau)
-            results.append((rid, score))
+        bucket = self.bucket(probe_sig.index_key)
+        results = [(rid, gate_trace(probe_sig, self.get(rid), tau).score) for rid in bucket]
         results.sort(key=lambda pair: (pair[1].mhd, pair[0]))
         return results
 

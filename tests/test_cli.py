@@ -111,6 +111,19 @@ class TestEnrollVerify:
         assert run("identify", "--store", store, "--k", 7, probe_file) == 0
         assert capsys.readouterr().out.startswith("b\tmhd ")
 
+    @pytest.mark.parametrize("new_key", ["V5|D2,2,2,1,1|H9|M1:2,2:3", "V5|x"])
+    def test_non_canonical_manifest_key_is_data_error(self, tmp_path, probe_file, capsys, new_key):
+        # A key that no graph has would leave identify an empty bucket, not a wrong answer.
+        store = tmp_path / "db"
+        run("enroll", "--store", store, "--id", "a", probe_file)
+        manifest = store / "manifest.txt"
+        rec_id, _, fname = manifest.read_text().rstrip("\n").split("\t")
+        manifest.write_text(f"{rec_id}\t{new_key}\t{fname}\n")
+        capsys.readouterr()
+        assert run("identify", "--store", store, probe_file) == 3
+        assert "manifest line 1: not a canonical index string" in capsys.readouterr().err
+        assert run("verify", "--store", store, "--id", "a", probe_file) == 3
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run("verify", "--store")

@@ -10,7 +10,6 @@ from fpverify.graph import (
     build_nn_graph,
     compute_index,
     dist_matrix,
-    fingerprint_distance,
     index_string,
     is_isomorphic,
     parse_index_string,
@@ -167,10 +166,10 @@ class TestIsomorphism:
     def test_c6_vs_two_triangles(self):
         assert not is_isomorphic(C6, TWO_TRIANGLES)
 
-    def test_fingerprint_distance(self):
-        assert fingerprint_distance(PATH3, relabel(PATH3, [2, 1, 0])) == 0
-        assert fingerprint_distance(PATH3, TRIANGLE) == 1
-        assert fingerprint_distance(C6, C6) == 0
+    def test_relabelled_path_and_c6_are_isomorphic_a_triangle_is_not(self):
+        assert is_isomorphic(PATH3, relabel(PATH3, [2, 1, 0]))
+        assert not is_isomorphic(PATH3, TRIANGLE)
+        assert is_isomorphic(C6, C6)
 
     def test_equivalence_relation_on_pipeline_graphs(self):
         rng = np.random.default_rng(10)

@@ -14,18 +14,20 @@ from hypothesis import strategies as st
 from fpverify.core import (
     MAX_COORDINATE,
     CorePoint,
+    MinutiaeSet,
     RigidTransform,
     apply_transform,
     parse_minutiae,
     serialize_minutiae,
     to_core_relative,
 )
-from fpverify.cluster import kmeans_fing
+from fpverify.cluster import ClusterResult, kmeans_fing
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
-from fpverify.graph import dist_matrix
+from fpverify.graph import DistanceMatrix, dist_matrix
 from fpverify.matching import Decision, modified_hausdorff
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
+    Signature,
     TemplateRecord,
     TemplateStore,
     _parse_record,
@@ -237,16 +239,17 @@ class TestEvalAgreesWithStore:
     def test_gate_trace_of_signatures_is_verify_of_the_record(self, store):
         # eval compares two fresh signatures; verify compares a fresh probe
         # signature with a record read back from its file. Both must give the
-        # same gates, score and angle, for accepted and rejected pairs alike.
+        # same result, but for the record id, for accepted and rejected pairs alike.
         accepted = set()
         for seed, k in [(0, 3), (1, 3), (2, 5), (3, 5), (4, 7)]:
             template = finger(400 + seed)
             store.enroll(template, f"t{seed}", k=k)
             genuine = perturb_impression(template, SynthConfig(seed=500 + seed, jitter_sigma=1.0))
             for probe in (template, genuine, finger(600 + seed)):
-                gates, score, angle = gate_trace(compute_signature(probe, k), compute_signature(template, k), 12.0)
+                trace = gate_trace(compute_signature(probe, k), compute_signature(template, k), 12.0)
                 result = store.verify(probe, f"t{seed}", tau=12.0)
-                assert (result.gates, result.score, result.rotation) == (gates, score, angle)
+                assert trace.record_id == ""
+                assert dataclasses.replace(trace, record_id=f"t{seed}") == result
                 accepted.add(result.accepted)
         assert accepted == {True, False}
 
@@ -378,7 +381,15 @@ class TestRecordParsing:
         reopened = TemplateStore(store.directory).get("a")
         assert np.array_equal(reopened.minutiae.coords(), to_core_relative(mset).coords())
 
-    @pytest.mark.parametrize("tail, message", [(b"b\tV5|D1\n", "manifest line 2"), (b"\xff\n", "UTF-8")])
+    @pytest.mark.parametrize(
+        "tail, message",
+        [
+            (b"b\tV5|D1\n", "manifest line 2"),
+            (b"\xff\n", "UTF-8"),
+            (b"b\tV5|D2,2,2,1,1|H9|M1:2,2:3\tb.rec\n", "manifest line 2: not a canonical index string"),
+            (b"b\tV5|x\tb.rec\n", "manifest line 2: not a canonical index string"),
+        ],
+    )
     def test_malformed_manifest_raises(self, store, tail, message):
         store.enroll(finger(1), "a")
         with (store.directory / "manifest.txt").open("ab") as fh:
@@ -604,3 +615,35 @@ def test_copies_keep_read_only_arrays_in_every_value_type(name, clone):
     changed = getattr(other, field).copy()
     changed.flat[0] += 1
     assert dataclasses.replace(other, **{field: changed}) != value
+
+
+def _signature_args():
+    sig = compute_signature(finger(1))
+    return [sig.graph, sig.index_key, np.array(sig.centroids), sig.minutiae]
+
+
+# Each value type and the arguments of a fresh value, its arrays writable.
+GIVEN = {
+    "MinutiaeSet": (MinutiaeSet, lambda: [None, CorePoint(0.0, 0.0), "a", np.ones((2, 2)), np.zeros(2), ["E", "B"]]),
+    "GrayImage": (GrayImage, lambda: [np.arange(12, dtype=np.uint8).reshape(3, 4)]),
+    "OrientationField": (OrientationField, lambda: [np.full((2, 3), 0.5), np.full((2, 3), 0.25)]),
+    "FeatureVector": (FeatureVector, lambda: [np.full(FEATURE_LEN, 0.5), np.full(FEATURE_LEN, 0.25)]),
+    "ClusterResult": (ClusterResult, lambda: [np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]), 0.0, 1]),
+    "DistanceMatrix": (DistanceMatrix, lambda: [np.array([[0.0, 1.0], [1.0, 0.0]])]),
+    "Signature": (Signature, _signature_args),
+    "TemplateRecord": (TemplateRecord, lambda: [*_signature_args(), "a", None, "2010-01-01"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GIVEN))
+def test_value_types_copy_the_writable_arrays_they_are_given(name):
+    # A value owns its arrays: the caller's stay writable, and writing to
+    # them afterwards leaves the value as it was built.
+    cls, make_args = GIVEN[name]
+    args = make_args()
+    value = cls(*args)
+    given = [a for a in args if isinstance(a, np.ndarray)]
+    assert given and all(a.flags.writeable for a in given)
+    for a in given:
+        a.flat[0] += 1
+    assert value == cls(*make_args())
