@@ -48,7 +48,6 @@ from .matching import (
     MatchScore,
     directed_hausdorff,
     hausdorff,
-    match_decision,
     modified_hausdorff,
 )
 from .orientation import (
@@ -71,7 +70,6 @@ from .som import (
     find_winner,
     load_som,
     msom_blend,
-    msom_find_winner,
     save_som,
     train_msom,
     train_som,

@@ -115,19 +115,20 @@ def _rebuild(cls, values: dict):
 
 class ArrayValue:
     """Base of the frozen dataclasses that hold numpy arrays: each array field
-    is read-only, and an array given writable is copied first, so the value
-    owns it and the caller's array stays writable. A copy, a deep copy or an
-    unpickled value is rebuilt through the constructor, where restoring its
-    state would leave the arrays writable. Two values are equal when they are
-    of one class and every field is equal, arrays by ``np.array_equal``;
-    subclasses pass ``eq=False`` to ``dataclass`` so that this ``__eq__``
-    stays theirs."""
+    is read-only, and an array given writable, or as a read-only view of a
+    writable array, is copied first, so the value owns it and the caller's
+    array stays writable. A copy, a deep copy or an unpickled value is rebuilt
+    through the constructor, where restoring its state would leave the arrays
+    writable. Two values are equal when they are of one class and every field
+    is equal, arrays by ``np.array_equal``; subclasses pass ``eq=False`` to
+    ``dataclass`` so that this ``__eq__`` stays theirs."""
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
-                if value.flags.writeable:
+                base = value.base
+                if value.flags.writeable or (isinstance(base, np.ndarray) and base.flags.writeable):
                     value = value.copy()
                     object.__setattr__(self, f.name, value)
                 value.setflags(write=False)

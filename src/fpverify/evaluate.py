@@ -4,8 +4,9 @@ imposter trials, with threshold sweeps.
 A scenario is a plain-text, diffable description of the experiment: how many
 synthetic fingers to generate, how they are perturbed into probe
 impressions, and how many genuine and imposter comparisons to run. Every
-trial runs the full verification gate logic; an accepted imposter counts
-into F, a rejected genuine into R, and FAR = F / S * 100 over the S trials.
+trial runs the full verification gate logic and keeps the pair's
+``VerifyResult``; an accepted imposter counts into F, a rejected genuine into
+R, and FAR = F / S * 100 over the S trials.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .core import MAX_COORDINATE
 from .errors import EmptyScenario, FingerprintError, ZeroTrials
 from .matching import DEFAULT_TAU, Decision, check_tau
-from .store import DEFAULT_K, compute_signature, decide, gate_trace
+from .store import DEFAULT_K, VerifyResult, compute_signature, decide, gate_trace
 from .synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
 
 
@@ -114,19 +115,9 @@ def serialize_scenario(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    genuine: bool
-    index_ok: bool
-    iso_ok: bool
-    mhd: float
-
-    def accepted(self, tau: float) -> bool:
-        return decide(self.index_ok, self.iso_ok, self.mhd, tau)[1] is Decision.ACCEPT
-
-
-def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
-    """Generate all genuine and imposter comparisons for a scenario.
+def run_trials(scenario: ScenarioConfig) -> list[tuple[bool, VerifyResult]]:
+    """Run all genuine and imposter comparisons of a scenario, each as
+    (genuine, the pair's ``gate_trace`` result at the scenario's tau).
 
     Fingers and per-trial perturbation seeds derive deterministically from
     the scenario seed. Genuine trials compare a finger with a perturbed
@@ -143,7 +134,7 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
     fingers = [gen_synthetic_minutiae(scenario.synth_config(int(seeds[i]))) for i in range(scenario.fingers)]
     signatures = [compute_signature(f, k=scenario.k) for f in fingers]
 
-    outcomes: list[TrialOutcome] = []
+    outcomes = []
     for trial in range(total):
         genuine = trial < scenario.genuine_pairs
         seed = int(seeds[scenario.fingers + trial])
@@ -160,17 +151,21 @@ def run_trials(scenario: ScenarioConfig) -> list[TrialOutcome]:
             max_translation=scenario.max_translation,
         )
         probe_sig = compute_signature(probe_set, k=scenario.k)
-        trace = gate_trace(probe_sig, signatures[t_idx], scenario.tau)
-        index_gate, iso_gate, _ = trace.gates
-        outcomes.append(TrialOutcome(genuine, index_gate.passed, iso_gate.passed, trace.score.mhd))
+        outcomes.append((genuine, gate_trace(probe_sig, signatures[t_idx], scenario.tau)))
     return outcomes
 
 
-def report_at(outcomes: list[TrialOutcome], tau: float) -> EvalReport:
+def report_at(outcomes: list[tuple[bool, VerifyResult]], tau: float) -> EvalReport:
+    """The counts at threshold tau: ``decide`` takes each trial again from its
+    index and isomorphism gates and its MHD, which do not depend on tau."""
     if not outcomes:
         raise EmptyScenario("no trial outcomes")
-    f = sum(1 for o in outcomes if not o.genuine and o.accepted(tau))
-    r = sum(1 for o in outcomes if o.genuine and not o.accepted(tau))
+    f = r = 0
+    for genuine, result in outcomes:
+        index_gate, iso_gate, _ = result.gates
+        accepted = decide(index_gate.passed, iso_gate.passed, result.score.mhd, tau)[1] is Decision.ACCEPT
+        f += accepted and not genuine
+        r += genuine and not accepted
     return EvalReport(wrong_accepts=f, wrong_rejects=r, trials=len(outcomes))
 
 

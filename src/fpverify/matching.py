@@ -2,9 +2,10 @@
 
 Directed Hausdorff, symmetric Hausdorff and the Modified Hausdorff distance
 (MHD, mean of nearest-neighbor distances instead of the max) over 2-D point
-sets, plus the thresholded accept/reject decision. The max-based Hausdorff
-blows up from a single outlier; MHD dilutes it by the set size, which is why
-the decision statistic is MHD.
+sets, plus ``score_point_sets``, which thresholds MHD as gate 3 of
+``store.gate_trace`` does. The max-based Hausdorff blows up from a single
+outlier; MHD dilutes it by the set size, which is why the decision statistic
+is MHD.
 
 One kernel, ``nearest_distances``, serves all three and the batched rotation
 search in ``store``, and it agrees bit for bit with a brute-force double loop
@@ -32,7 +33,6 @@ from enum import Enum
 
 import numpy as np
 
-from .core import MinutiaeSet, to_core_relative
 from .errors import BadThreshold, EmptySet
 
 DEFAULT_TAU = 12.0
@@ -165,16 +165,3 @@ def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
     decision = Decision.ACCEPT if mhd <= tau else Decision.REJECT
     return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, decision=decision, threshold_used=tau)
 
-
-def match_decision(probe: MinutiaeSet, template: MinutiaeSet, tau: float = DEFAULT_TAU) -> MatchScore:
-    """Compare two impressions in core-relative coordinates.
-
-    Only coordinates enter the distances (directions and minutia kind do
-    not). Both sets need a core point; emptiness signals upstream failure
-    and raises instead of returning infinity.
-    """
-    if len(probe) == 0 or len(template) == 0:
-        raise EmptySet("matching requires non-empty minutiae sets")
-    a = to_core_relative(probe).coords()
-    b = to_core_relative(template).coords()
-    return score_point_sets(a, b, tau)

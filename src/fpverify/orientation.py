@@ -43,7 +43,7 @@ class FingerClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class GrayImage(ArrayValue):
-    """8-bit grayscale image, row-major."""
+    """8-bit grayscale image, row-major; pixels of another dtype are cast to uint8."""
 
     pixels: np.ndarray  # (height, width) uint8
 
@@ -61,11 +61,6 @@ class GrayImage(ArrayValue):
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @classmethod
-    def from_array(cls, arr) -> "GrayImage":
-        """An image of a copy of the 2-D array, cast to uint8."""
-        return cls(np.asarray(arr).astype(np.uint8))
 
 
 @dataclass(frozen=True, eq=False)

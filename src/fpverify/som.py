@@ -90,12 +90,7 @@ class SomMap:
         return divmod(j, self.m)
 
 
-def find_winner(som: SomMap, x: np.ndarray) -> int:
-    """Node with the smallest Euclidean distance to x; ties -> lowest index."""
-    return msom_find_winner(som, x, None)
-
-
-def msom_find_winner(som: SomMap, x: np.ndarray, c: np.ndarray | None) -> int:
+def find_winner(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> int:
     """Winner under the certainty-weighted norm ||c*(x - w)||; ties -> lowest
     index. With c None it is the plain Euclidean winner (c = 1, unmultiplied)."""
     diff = np.asarray(x, dtype=np.float64) - som.weights
@@ -165,14 +160,14 @@ def _train(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch, cer
         radius = cfg.radius(t, m)
         before = w.copy()
         for i in rng.permutation(len(xs)):
-            _move_window(w, m, inputs[i], cs[i], msom_find_winner(som, inputs[i], cs[i]), radius, rate)
+            _move_window(w, m, inputs[i], cs[i], find_winner(som, inputs[i], cs[i]), radius, rate)
         if on_epoch is not None:
             on_epoch(t, w.copy())
         if float(np.max(np.abs(w - before))) < CONVERGENCE_EPS:
             break
 
     # Nodes are labelled from the raw, unblended vectors.
-    winners = [msom_find_winner(som, x, c) for x, c in zip(xs, cs)]
+    winners = [find_winner(som, x, c) for x, c in zip(xs, cs)]
     som.labels = _majority_labels(m, winners, [v.class_label for v in vectors])
     som.trained = True
     return som
@@ -209,7 +204,7 @@ def classify(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> tuple[F
         raise UntrainedMap("map has not been trained")
     if all(lbl is None for lbl in som.labels):
         raise UntrainedMap("map carries no class labels")
-    winner = msom_find_winner(som, x, c)
+    winner = find_winner(som, x, c)
     label = som.labels[winner]
     if label is None:
         wr, wc = som.node_coords(winner)

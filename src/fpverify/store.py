@@ -59,7 +59,6 @@ ALIGN_RADIUS_BAND = 10.0
 _MANIFEST = "manifest.txt"
 _MANIFEST_LINE = re.compile(r"([^\t]+)\t(V(\d+)\|[^\t]*)\t([^\t]+)")  # id, index key (k first), file
 _MAX_K_DIGITS = 4  # k-means over 10,000 clusters is no template any store can hold
-_INDEX_K = re.compile(r"V(\d+)\|")  # the vertex count that leads an index key
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,20 +236,12 @@ class TemplateStore:
         if record_id in self._index:
             raise DuplicateId(f"id {record_id!r} already enrolled")
         # The manifest is read with str.splitlines, so an id may hold none of
-        # the characters it splits on.
-        if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\"):
+        # the characters it splits on; a NUL makes open() raise ValueError.
+        if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\\0"):
             raise FingerprintError(f"record id {record_id!r} not storable")
-        sig = compute_signature(mset, k=k)
-        m = sig.minutiae  # core-relative
-        record = TemplateRecord(
-            id=record_id,
-            class_label=class_label,
-            index_key=sig.index_key,
-            graph=sig.graph,
-            centroids=sig.centroids,
-            minutiae=MinutiaeSet(xy=m.xy, theta=m.theta, kind=m.kind, core=m.core, source_id=record_id),
-            enrolled_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
+        sig = compute_signature(replace(mset, source_id=record_id), k=k)
+        enrolled_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        record = TemplateRecord(id=record_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))
         fname = f"{record_id}.rec"
         if not self._made:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -374,10 +365,9 @@ def _parse_record(text: str) -> TemplateRecord:
     min_block = block("MINUTIAE")
     if pos != len(lines):
         raise FingerprintError("template record has lines after its MINUTIAE block")
-    k_field = _INDEX_K.match(index_key)
     try:
         class_label = None if cls_text == "-" else FingerClass(cls_text)
-        k = int(k_field.group(1)) if k_field else 0
+        k = parse_index_string(index_key).vertex_count
     except ValueError as exc:
         raise FingerprintError(f"malformed template record: {exc}") from exc
     if k < 2:

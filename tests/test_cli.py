@@ -189,7 +189,7 @@ class TestTrainClassify:
 
         # vertical-ridge sinusoid: a valid PGM input end to end
         yy, xx = np.mgrid[0:304, 0:304]
-        img = GrayImage.from_array(
+        img = GrayImage(
             np.round(128 + 100 * np.sin(2 * np.pi * xx / 8)).astype(np.uint8)
         )
         pgm = tmp_path / "ridges.pgm"

@@ -21,7 +21,7 @@ from fpverify.core import (
     to_core_relative,
     wrap_angle,
 )
-from fpverify.errors import DuplicatePoint, EmptySet, MalformedHeader, MalformedLine
+from fpverify.errors import DuplicatePoint, EmptySet, MalformedHeader, MalformedLine, MissingCore
 
 
 def make_set(points, core=None):
@@ -212,6 +212,11 @@ def test_to_core_relative_centers_core():
     rel = to_core_relative(s)
     assert rel.core == CorePoint(0.0, 0.0)
     assert rel.minutiae[0].x == 0.0 and rel.minutiae[1].y == 20.0
+
+
+def test_to_core_relative_needs_a_core():
+    with pytest.raises(MissingCore):
+        to_core_relative(make_set([(0.0, 0.0)]))
 
 
 def test_coords_shape():

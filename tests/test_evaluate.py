@@ -1,5 +1,6 @@
 import pytest
 
+from fpverify import evaluate
 from fpverify.errors import EmptyScenario, FingerprintError, ZeroTrials
 from fpverify.evaluate import (
     EvalReport,
@@ -12,6 +13,7 @@ from fpverify.evaluate import (
     run_trials,
     serialize_scenario,
 )
+from fpverify.store import gate_trace
 
 
 class TestComputeFar:
@@ -119,6 +121,28 @@ class TestRunEval:
         a = run_trials(scenario)
         b = run_trials(scenario)
         assert a == b
+
+    def test_each_trial_keeps_the_result_of_its_pair(self, monkeypatch):
+        # An entry is (genuine, result): the result gate_trace gave for the
+        # pair compared. report_at counts the results' own decisions.
+        calls = []
+
+        def recording(*args):
+            result = gate_trace(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(evaluate, "gate_trace", recording)
+        scenario = small_scenario(k=4, jitter_sigma=2.0, tau=20.0)  # gives F = 10, R = 8
+        outcomes = run_trials(scenario)
+        assert [genuine for genuine, _ in outcomes] == [True] * 20 + [False] * 20
+        assert all(result is returned for (_, result), (_, returned) in zip(outcomes, calls, strict=True))
+        assert [result for _, result in outcomes] == [gate_trace(*args) for args, _ in calls]
+        wrong_accepts = sum(result.accepted for genuine, result in outcomes if not genuine)
+        wrong_rejects = sum(not result.accepted for genuine, result in outcomes if genuine)
+        assert wrong_accepts > 0 and wrong_rejects > 0
+        report = report_at(outcomes, scenario.tau)
+        assert (report.wrong_accepts, report.wrong_rejects) == (wrong_accepts, wrong_rejects)
 
     def test_report_invariant(self):
         # The rates follow from the counts F, R and S alone.

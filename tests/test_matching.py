@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpverify.matching as matching_module
-from fpverify.core import CorePoint, Minutia, MinutiaeSet
-from fpverify.errors import BadThreshold, EmptySet, MissingCore
+from fpverify.errors import BadThreshold, EmptySet
 from fpverify.matching import (
     Decision,
     directed_hausdorff,
     hausdorff,
-    match_decision,
     mhd_of,
     modified_hausdorff,
     nearest_distances,
@@ -169,51 +167,33 @@ class TestRigidInvariance:
 
 
 class TestMatchDecision:
-    def _mset(self, pts, core=(0.0, 0.0)):
-        return MinutiaeSet(
-            minutiae=tuple(Minutia(x, y, 0.0) for x, y in pts),
-            core=CorePoint(*core),
-        )
+    """The accept/reject decision of score_point_sets, on raw point arrays."""
 
     def test_self_match_accepts(self):
-        s = self._mset([(1.0, 1.0), (4.0, 5.0), (-3.0, 2.0)])
-        score = match_decision(s, s, tau=0.001)
+        s = np.array([(1.0, 1.0), (4.0, 5.0), (-3.0, 2.0)])
+        score = score_point_sets(s, s, tau=0.001)
         assert score.mhd == 0.0
         assert score.decision is Decision.ACCEPT
 
     def test_outlier_moves_hausdorff_not_mhd(self):
         base = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)]
-        probe = self._mset(base + [(200.0, 0.0)])
-        template = self._mset(base)
-        score = match_decision(probe, template, tau=12.0)
+        probe = np.array(base + [(200.0, 0.0)])
+        score = score_point_sets(probe, np.array(base), tau=12.0)
         outlier_min = oracle_directed([(200.0, 0.0)], base)
         assert score.hausdorff == outlier_min
         assert score.mhd == outlier_min / len(probe)
         assert score.decision is (Decision.ACCEPT if score.mhd <= 12.0 else Decision.REJECT)
 
     def test_distant_sets_reject(self):
-        probe = self._mset([(0.0, 0.0), (1.0, 0.0)])
-        template = self._mset([(500.0, 500.0), (501.0, 500.0)])
-        assert match_decision(probe, template, tau=12.0).decision is Decision.REJECT
+        probe = np.array([(0.0, 0.0), (1.0, 0.0)])
+        template = np.array([(500.0, 500.0), (501.0, 500.0)])
+        assert score_point_sets(probe, template, tau=12.0).decision is Decision.REJECT
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
     def test_tau_must_be_positive_and_finite(self, tau):
-        s = self._mset([(1.0, 1.0), (4.0, 5.0)])
+        s = np.array([(1.0, 1.0), (4.0, 5.0)])
         with pytest.raises(BadThreshold):
-            match_decision(s, s, tau=tau)
-        with pytest.raises(BadThreshold):
-            score_point_sets(s.coords(), s.coords(), tau)
-
-    def test_missing_core(self):
-        probe = MinutiaeSet(minutiae=(Minutia(0, 0, 0),))
-        with pytest.raises(MissingCore):
-            match_decision(probe, self._mset([(0.0, 0.0)]), tau=1.0)
-
-    def test_core_relative_comparison(self):
-        # Same shape, different absolute position: cores cancel the offset.
-        a = self._mset([(0.0, 0.0), (5.0, 0.0)], core=(0.0, 0.0))
-        b = self._mset([(100.0, 50.0), (105.0, 50.0)], core=(100.0, 50.0))
-        assert match_decision(a, b, tau=1.0).mhd == 0.0
+            score_point_sets(s, s, tau)
 
     def test_invariants_of_score(self):
         rng = np.random.default_rng(11)

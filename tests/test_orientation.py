@@ -36,7 +36,7 @@ def sinusoid_image(size, alpha, period=8.0):
     """Ridges flowing along angle alpha (intensity varies along the normal)."""
     yy, xx = np.mgrid[0:size, 0:size]
     phase = xx * math.cos(alpha + math.pi / 2) + yy * math.sin(alpha + math.pi / 2)
-    return GrayImage.from_array(np.round(128 + 100 * np.sin(2 * np.pi * phase / period)))
+    return GrayImage(np.round(128 + 100 * np.sin(2 * np.pi * phase / period)))
 
 
 def analytic_direction_oracle(alpha, size, period=8.0):
@@ -135,7 +135,7 @@ def synth_field_image(finger_class, seed, period=8.0):
     theta = np.repeat(np.repeat(field.directions, BLOCK_SIZE, axis=0), BLOCK_SIZE, axis=1)
     yy, xx = np.mgrid[0 : theta.shape[0], 0 : theta.shape[1]]
     phase = xx * np.cos(theta + math.pi / 2) + yy * np.sin(theta + math.pi / 2)
-    return GrayImage.from_array(np.round(128 + 100 * np.sin(2 * np.pi * phase / period)))
+    return GrayImage(np.round(128 + 100 * np.sin(2 * np.pi * phase / period)))
 
 
 def stripes(shape, axis):
@@ -146,7 +146,7 @@ def stripes(shape, axis):
 
 class TestEstimateBlockDirections:
     def test_uniform_image_zero_certainty(self):
-        img = GrayImage.from_array(np.full((48, 48), 77))
+        img = GrayImage(np.full((48, 48), 77))
         field = estimate_block_directions(img)
         assert np.all(field.certainties == 0.0)
 
@@ -171,7 +171,7 @@ class TestEstimateBlockDirections:
 
     def test_too_small(self):
         with pytest.raises(ImageTooSmall):
-            estimate_block_directions(GrayImage.from_array(np.zeros((8, 40))))
+            estimate_block_directions(GrayImage(np.zeros((8, 40))))
 
     def test_deterministic(self):
         img = sinusoid_image(64, 0.7)
@@ -182,7 +182,7 @@ class TestEstimateBlockDirections:
 
     def test_ranges(self):
         rng = np.random.default_rng(0)
-        img = GrayImage.from_array(rng.integers(0, 256, size=(80, 80)))
+        img = GrayImage(rng.integers(0, 256, size=(80, 80)))
         field = estimate_block_directions(img)
         assert np.all((field.directions >= 0) & (field.directions < np.pi))
         assert np.all((field.certainties >= 0) & (field.certainties <= 1))
@@ -201,7 +201,7 @@ class TestIntegerArithmeticMatchesFloat64:
     @pytest.mark.parametrize("shape", [(16, 16), (17, 33), (100, 47), (255, 300), (64, 16)])
     def test_random_images(self, shape, block_size):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1] + block_size)
-        img = GrayImage.from_array(rng.integers(0, 256, size=shape))
+        img = GrayImage(rng.integers(0, 256, size=shape))
         if min(shape) < block_size:
             with pytest.raises(ImageTooSmall):
                 estimate_block_directions(img, block_size)
@@ -226,7 +226,7 @@ class TestIntegerArithmeticMatchesFloat64:
         ids=["all-0", "all-255", "row-stripes", "column-stripes", "diagonal-stripes"],
     )
     def test_extreme_images(self, pixels, block_size):
-        self.check(GrayImage.from_array(pixels), block_size)
+        self.check(GrayImage(pixels), block_size)
 
 
 class TestSegment:
@@ -467,7 +467,7 @@ class TestExtractMatchesLoop:
 class TestPgm:
     def test_p5_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        img = GrayImage.from_array(rng.integers(0, 256, size=(24, 18)))
+        img = GrayImage(rng.integers(0, 256, size=(24, 18)))
         path = tmp_path / "x.pgm"
         write_pgm(img, path)
         back = read_pgm(path)

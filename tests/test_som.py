@@ -11,7 +11,6 @@ from fpverify.som import (
     find_winner,
     load_som,
     msom_blend,
-    msom_find_winner,
     quantization_error,
     save_som,
     train_msom,
@@ -111,12 +110,12 @@ class TestMsomFindWinner:
         rng = np.random.default_rng(3)
         som = toy_map(rng.uniform(0, 1, size=(9, FEATURE_LEN)))
         x = rng.uniform(0, 1, FEATURE_LEN)
-        assert msom_find_winner(som, x, np.ones(FEATURE_LEN)) == find_winner(som, x)
+        assert find_winner(som, x, np.ones(FEATURE_LEN)) == find_winner(som, x)
 
     def test_zero_certainty_everything_ties_to_zero(self):
         rng = np.random.default_rng(4)
         som = toy_map(rng.uniform(0, 1, size=(9, FEATURE_LEN)))
-        assert msom_find_winner(som, rng.uniform(0, 1, FEATURE_LEN), np.zeros(FEATURE_LEN)) == 0
+        assert find_winner(som, rng.uniform(0, 1, FEATURE_LEN), np.zeros(FEATURE_LEN)) == 0
 
     def test_single_component_mask_decides(self):
         w = np.zeros((4, FEATURE_LEN))
@@ -128,7 +127,7 @@ class TestMsomFindWinner:
         x[7] = 1.0
         c = np.zeros(FEATURE_LEN)
         c[7] = 1.0
-        assert msom_find_winner(som, x, c) == 1
+        assert find_winner(som, x, c) == 1
 
 
 class TestTraining:

@@ -87,6 +87,14 @@ class TestEnroll:
         assert TemplateStore(tmp_path / "db").ids() == ["good"]
         assert sorted(p.name for p in (tmp_path / "db").iterdir()) == ["good.rec", "manifest.txt"]
 
+    def test_id_with_nul_rejected(self, tmp_path):
+        # open() raises ValueError on a NUL in a file name; the id check
+        # turns it away first, before the store makes its directory.
+        store = TemplateStore(tmp_path / "db")
+        with pytest.raises(FingerprintError, match="not storable"):
+            store.enroll(finger(1), "a\0b")
+        assert not (tmp_path / "db").exists()
+
     def test_same_file_same_index_key(self, store):
         s = finger(3)
         r1 = store.enroll(s, "x1")
@@ -507,6 +515,18 @@ class TestRecordFormat:
         with pytest.raises(FingerprintError):
             _parse_record(text)
 
+    def test_non_canonical_index_raises_before_clustering(self, monkeypatch):
+        # The INDEX line's k is read by parse_index_string, so a key that is
+        # not canonical raises before k-means runs at its V field.
+        def no_clustering(*args, **kwargs):
+            raise AssertionError("clustered a record whose INDEX is not canonical")
+
+        monkeypatch.setattr("fpverify.store.kmeans_fing", no_clustering)
+        text = (FPREC1_STORE / "p1.rec").read_text()
+        index_line = next(line for line in text.splitlines() if line.startswith("INDEX "))
+        with pytest.raises(FingerprintError, match="not a canonical index string"):
+            _parse_record(text.replace(index_line, "INDEX V5|D9|H9|M9:1"))
+
 
 def _mutable_lines():
     old = (FPREC1_STORE / "p1.rec").read_text()
@@ -588,7 +608,7 @@ def _arrays(value):
 
 VALUES = {
     "MinutiaeSet": lambda: finger(1),
-    "GrayImage": lambda: GrayImage.from_array(np.arange(12).reshape(3, 4)),
+    "GrayImage": lambda: GrayImage(np.arange(12).reshape(3, 4)),
     "OrientationField": lambda: OrientationField(np.full((2, 3), 0.5), np.full((2, 3), 0.25)),
     "FeatureVector": lambda: FeatureVector(np.full(FEATURE_LEN, 0.5), np.ones(FEATURE_LEN), FingerClass.ARCH),
     "ClusterResult": lambda: kmeans_fing(finger(1), 5),
@@ -646,4 +666,23 @@ def test_value_types_copy_the_writable_arrays_they_are_given(name):
     assert given and all(a.flags.writeable for a in given)
     for a in given:
         a.flat[0] += 1
+    assert value == cls(*make_args())
+
+
+def _read_only_view(a):
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("name", list(GIVEN))
+def test_value_types_copy_read_only_views_of_writable_arrays(name):
+    # A read-only view shares the memory of its writable base, so the value
+    # copies it too: writing to the base afterwards leaves the value as built.
+    cls, make_args = GIVEN[name]
+    args = make_args()
+    value = cls(*(_read_only_view(a) if isinstance(a, np.ndarray) else a for a in args))
+    for a in args:
+        if isinstance(a, np.ndarray):
+            a.flat[0] += 1
     assert value == cls(*make_args())
