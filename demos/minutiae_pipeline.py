@@ -28,11 +28,10 @@ for i, (cx, cy) in enumerate(clusters.centroids):
 
 dm = dist_matrix(clusters.centroids)
 print("\ncentroid distances (px):")
-print(np.array_str(dm.values, precision=1, suppress_small=True))
+print(np.array_str(dm, precision=1, suppress_small=True))
 
 g = build_nn_graph(dm)
 print(f"\nnearest-neighbor graph: {sorted(g.edges)}")
-print(f"degrees: {g.degree_map()}")
 
 idx = compute_index(g)
 print(f"\nindex parameters: vertices={idx.vertex_count}, "

@@ -32,7 +32,6 @@ from .evaluate import (
     serialize_scenario,
 )
 from .graph import (
-    DistanceMatrix,
     GraphIndex,
     MinutiaeGraph,
     build_nn_graph,

@@ -8,6 +8,7 @@ error (any other exception: a fault in the program, reported in one line).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
@@ -19,7 +20,6 @@ from .errors import FingerprintError, LowConfidenceCoreWarning
 from .matching import DEFAULT_TAU
 from .orientation import (
     DEFAULT_SEGMENT_THRESHOLD,
-    FeatureVector,
     FingerClass,
     detect_core,
     estimate_block_directions,
@@ -32,11 +32,11 @@ from .store import DEFAULT_K, TemplateStore
 
 def _feature_from_file(path: str):
     """Feature vector + certainty from a PGM image or an OF1 field file."""
-    head = Path(path).read_bytes()[:3]
-    if head.startswith(b"OF1"):
-        field, core = synth.load_orientation_field(path)
+    data = Path(path).read_bytes()
+    if data.startswith(b"OF1"):
+        field, core = synth.load_orientation_field(data)
     else:
-        img = read_pgm(path)
+        img = read_pgm(data)
         field = segment_by_certainty(
             estimate_block_directions(img), DEFAULT_SEGMENT_THRESHOLD
         )
@@ -65,7 +65,7 @@ def _cmd_verify(args) -> int:
     s = result.score
     print(
         f"hausdorff {s.hausdorff:.3f}  mhd {s.mhd:.3f}  "
-        f"(directed {s.directed_ab:.3f}/{s.directed_ba:.3f}, tau {s.threshold_used:g})"
+        f"(directed {s.directed_ab:.3f}/{s.directed_ba:.3f}, tau {args.tau:g})"
     )
     print("ACCEPT" if result.accepted else "REJECT")
     return 0 if result.accepted else 1
@@ -103,12 +103,7 @@ def _cmd_train(args) -> int:
         entries.append((path, FingerClass(cls_name)))
     if not entries:
         raise FingerprintError("training list is empty")
-    vectors = []
-    for path, cls in entries:
-        fv = _feature_from_file(path)
-        vectors.append(
-            FeatureVector(directions=fv.directions, certainties=fv.certainties, class_label=cls)
-        )
+    vectors = [dataclasses.replace(_feature_from_file(path), class_label=cls) for path, cls in entries]
     cfg = som.TrainConfig(epochs=args.epochs, seed=args.seed)
     trainer = som.train_msom if args.msom else som.train_som
     trained = trainer(vectors, args.m, cfg)
@@ -127,11 +122,11 @@ def _cmd_eval(args) -> int:
             raise FingerprintError(
                 f"--taus needs finite start:stop:step with step > 0, not {args.taus!r}"
             )
-        taus = []
-        t = start
-        while t <= stop + 1e-9:
-            taus.append(round(t, 9))
-            t += step
+        # Bounded before it is built; also false for a count that overflows to inf.
+        count = (stop - start) / step
+        if not count <= 100_000:
+            raise FingerprintError(f"--taus {args.taus!r} sweeps more than 100,000 steps")
+        taus = [round(start + i * step, 9) for i in range(math.floor(count + 1e-9) + 1)]
     main_report, sweep = evaluate.run_eval(scenario, taus)
     text = evaluate.report_text(main_report, sweep, scenario.tau)
     if args.out:

@@ -98,16 +98,6 @@ class RigidTransform:
             raise ValueError("transform parameters must be finite")
         object.__setattr__(self, "rotation", wrap_angle(self.rotation))
 
-    def inverse(self) -> "RigidTransform":
-        """Transform that undoes this one (rotate back about the moved pivot)."""
-        dx, dy = self.translation
-        px, py = self.pivot
-        return RigidTransform(
-            rotation=-self.rotation,
-            translation=(-dx, -dy),
-            pivot=(px + dx, py + dy),
-        )
-
 
 def _rebuild(cls, values: dict):
     return cls(**values)

@@ -19,29 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayValue
 from .errors import NearTieWarning, SingletonGraph
 
 TIE_GAP = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix(ArrayValue):
-    """Symmetric Euclidean distances between cluster centroids."""
-
-    values: np.ndarray  # (k, k)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[0]
-
-
-def dist_matrix(centroids) -> DistanceMatrix:
-    """All pairwise centroid distances; exact zero diagonal, exact symmetry."""
+def dist_matrix(centroids) -> np.ndarray:
+    """The (k, k) pairwise centroid distances; exact zero diagonal, exact
+    symmetry."""
     c = np.asarray(centroids, dtype=np.float64).reshape(-1, 2)
     dx = c[:, 0][:, None] - c[:, 0][None, :]
     dy = c[:, 1][:, None] - c[:, 1][None, :]
-    return DistanceMatrix(values=np.sqrt(dx * dx + dy * dy))
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass(frozen=True)
@@ -58,13 +47,6 @@ class MinutiaeGraph:
             if a > b:
                 raise ValueError("edges must be stored as (low, high)")
 
-    def degree_map(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for a, b in self.edges:
@@ -73,7 +55,7 @@ class MinutiaeGraph:
         return adj
 
 
-def build_nn_graph(dm: DistanceMatrix) -> MinutiaeGraph:
+def build_nn_graph(dm: np.ndarray) -> MinutiaeGraph:
     """Link each vertex to its nearest other vertex (ties -> smallest id).
 
     The edge set is the union over all vertices, so mutual nearest neighbors
@@ -81,10 +63,10 @@ def build_nn_graph(dm: DistanceMatrix) -> MinutiaeGraph:
     vertex's two smallest distances are separated by less than 1e-9: such a
     near-tie can flip the chosen edge under rotation-and-translation noise.
     """
-    k = dm.k
+    k = len(dm)
     if k < 2:
         raise SingletonGraph("nearest-neighbor graph needs at least 2 centroids")
-    d = dm.values.copy()
+    d = np.array(dm, dtype=np.float64)
     np.fill_diagonal(d, np.inf)
     nearest = np.argmin(d, axis=1)
 
@@ -131,7 +113,7 @@ class GraphIndex:
 
 
 def compute_index(g: MinutiaeGraph) -> GraphIndex:
-    return GraphIndex(tuple(sorted(g.degree_map().values(), reverse=True)))
+    return GraphIndex(tuple(sorted(map(len, g.adjacency().values()), reverse=True)))
 
 
 def index_string(idx: GraphIndex) -> str:

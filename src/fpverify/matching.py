@@ -136,7 +136,6 @@ class MatchScore:
     directed_ab: float
     directed_ba: float
     decision: Decision
-    threshold_used: float
 
     def __post_init__(self):
         if not (0.0 <= self.mhd <= self.hausdorff + 1e-12):
@@ -163,5 +162,5 @@ def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
     d_ba = float(b_to_a.max())
     mhd = float(mhd_of(a_to_b, b_to_a))
     decision = Decision.ACCEPT if mhd <= tau else Decision.REJECT
-    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, decision=decision, threshold_used=tau)
+    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, decision=decision)
 

@@ -43,12 +43,18 @@ class FingerClass(Enum):
 
 @dataclass(frozen=True, eq=False)
 class GrayImage(ArrayValue):
-    """8-bit grayscale image, row-major; pixels of another dtype are cast to uint8."""
+    """8-bit grayscale image, row-major. Pixels of another dtype must be whole
+    numbers in [0, 255], which are cast to uint8; others raise MalformedImage."""
 
     pixels: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:
+            # Also false for NaN, so the cast neither wraps nor warns.
+            if not (np.all((px >= 0) & (px <= 255)) and np.all(px == np.trunc(px))):
+                raise MalformedImage("pixel values must be whole numbers in [0, 255]")
+            px = px.astype(np.uint8)
         if px.ndim != 2:
             raise ValueError("expected a 2-D intensity array")
         object.__setattr__(self, "pixels", px)

@@ -16,7 +16,6 @@ vectors it wins.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -28,6 +27,7 @@ from .errors import EmptyTrainingSet, FingerprintError, UntrainedMap
 from .orientation import FEATURE_LEN, FeatureVector, FingerClass
 
 CONVERGENCE_EPS = 1e-6
+INITIAL_RATE = 0.5  # the paper's learning rate at epoch 0
 
 
 class InitMode(Enum):
@@ -38,19 +38,16 @@ class InitMode(Enum):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
-    initial_rate: float = 0.5
     seed: int = 0
     init_mode: InitMode = InitMode.SMALL_RANDOM
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("at least one epoch required")
-        if not 0.0 < self.initial_rate <= 1.0:
-            raise ValueError("initial learning rate must lie in (0, 1]")
 
     def learning_rate(self, t: int) -> float:
-        """Linear decay from the initial rate toward 0 at t = epochs."""
-        return self.initial_rate * (1.0 - t / self.epochs)
+        """Linear decay from INITIAL_RATE toward 0 at t = epochs."""
+        return INITIAL_RATE * (1.0 - t / self.epochs)
 
     def radius(self, t: int, m: int) -> int:
         """Neighborhood radius decaying from the map side m down to 1."""
@@ -64,7 +61,6 @@ class SomMap:
     m: int
     weights: np.ndarray  # (m*m, 256)
     labels: tuple[FingerClass | None, ...]
-    trained: bool = False
 
     def __post_init__(self):
         if self.m < 2:
@@ -85,9 +81,6 @@ class SomMap:
             rng = rng if rng is not None else np.random.default_rng(cfg.seed)
             w = rng.uniform(0.0, 0.01, size=(m * m, FEATURE_LEN))
         return cls(m=m, weights=w, labels=(None,) * (m * m))
-
-    def node_coords(self, j: int) -> tuple[int, int]:
-        return divmod(j, self.m)
 
 
 def find_winner(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> int:
@@ -127,7 +120,7 @@ def update_weights(som: SomMap, x: np.ndarray, winner: int, t: int, cfg: TrainCo
         raise ValueError("epoch index out of range")
     w = som.weights.copy()
     _move_window(w, som.m, np.asarray(x, dtype=np.float64), None, winner, cfg.radius(t, som.m), cfg.learning_rate(t))
-    return SomMap(m=som.m, weights=w, labels=som.labels, trained=som.trained)
+    return SomMap(m=som.m, weights=w, labels=som.labels)
 
 
 def _majority_labels(som_m: int, winners: list[int], classes: list) -> tuple[FingerClass | None, ...]:
@@ -169,7 +162,6 @@ def _train(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch, cer
     # Nodes are labelled from the raw, unblended vectors.
     winners = [find_winner(som, x, c) for x, c in zip(xs, cs)]
     som.labels = _majority_labels(m, winners, [v.class_label for v in vectors])
-    som.trained = True
     return som
 
 
@@ -200,28 +192,15 @@ def classify(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> tuple[F
     A winner that never won during training borrows the label of the nearest
     labeled node in grid (Chebyshev) distance.
     """
-    if not som.trained:
-        raise UntrainedMap("map has not been trained")
     if all(lbl is None for lbl in som.labels):
         raise UntrainedMap("map carries no class labels")
     winner = find_winner(som, x, c)
     label = som.labels[winner]
     if label is None:
-        wr, wc = som.node_coords(winner)
+        wr, wc = divmod(winner, som.m)
         labeled = (j for j, lbl in enumerate(som.labels) if lbl is not None)
         label = som.labels[min(labeled, key=lambda j: (max(abs(j // som.m - wr), abs(j % som.m - wc)), j))]
     return label, winner
-
-
-def quantization_error(som: SomMap, vectors: list[FeatureVector]) -> float:
-    """Mean distance from each vector to its winning node's weights."""
-    if not vectors:
-        raise EmptyTrainingSet("no training vectors")
-    total = 0.0
-    for v in vectors:
-        diff = v.directions - som.weights
-        total += math.sqrt(float((diff * diff).sum(axis=1).min()))
-    return total / len(vectors)
 
 
 # --- map file format ---------------------------------------------------------
@@ -241,8 +220,7 @@ def save_som(som: SomMap, path) -> None:
 
 
 def load_som(path) -> SomMap:
-    """Read a map file; the loaded map is marked trained. A malformed file
-    raises FingerprintError."""
+    """Read a map file; a malformed file raises FingerprintError."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         header = lines[0].split() if lines else []
@@ -264,6 +242,6 @@ def load_som(path) -> SomMap:
         if len(values) != n * FEATURE_LEN:
             raise FingerprintError("SOM1 weight count does not match m and dim")
         w = np.array([float(v) for v in values], dtype=np.float64).reshape(n, FEATURE_LEN)
-        return SomMap(m=m, weights=w, labels=tuple(labels), trained=True)
+        return SomMap(m=m, weights=w, labels=tuple(labels))
     except ValueError as exc:
         raise FingerprintError(f"malformed SOM1 map: {exc}") from exc

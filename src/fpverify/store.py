@@ -239,6 +239,9 @@ class TemplateStore:
         # the characters it splits on; a NUL makes open() raise ValueError.
         if record_id.splitlines() != [record_id] or any(ch in record_id for ch in "\t/\\\0"):
             raise FingerprintError(f"record id {record_id!r} not storable")
+        # A k of more digits would write a manifest key the store cannot open.
+        if not 2 <= k < 10**_MAX_K_DIGITS:
+            raise FingerprintError(f"k must lie in [2, {10**_MAX_K_DIGITS}), not {k}")
         sig = compute_signature(replace(mset, source_id=record_id), k=k)
         enrolled_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
         record = TemplateRecord(id=record_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))
@@ -350,8 +353,9 @@ def _parse_record(text: str) -> TemplateRecord:
     def block(tag: str) -> list[str]:
         nonlocal pos
         count = take(tag)
-        if not count.isdigit() or pos + int(count) > len(lines):
-            raise FingerprintError(f"{tag} block shorter than its declared {count!r} lines")
+        # ASCII digits only (str.isdigit also takes "\u00b2"), and few enough for int().
+        if not re.fullmatch(r"[0-9]{1,18}", count) or pos + int(count) > len(lines):
+            raise FingerprintError(f"{tag} block count {count!r} is not a line count within the record")
         pos += int(count)
         return lines[pos - int(count) : pos]
 

@@ -73,7 +73,7 @@ def tie_free(mset, min_gap=1e-6):
     if np.min(np.diff(radii)) <= min_gap:
         return False
     res = kmeans_fing(mset, 5)
-    d = dist_matrix(res.centroids).values.copy()
+    d = dist_matrix(res.centroids).copy()
     np.fill_diagonal(d, np.inf)
     two = np.partition(d, 1, axis=1)[:, :2]
     return float(np.min(two[:, 1] - two[:, 0])) > min_gap
@@ -102,8 +102,8 @@ def test_criterion_02_rotation_invariance():
         g2 = build_nn_graph(dist_matrix(r2.centroids))
         if index_string(compute_index(g1)) == index_string(compute_index(g2)):
             identical += 1
-        d1 = dist_matrix(r1.centroids).values
-        d2 = dist_matrix(r2.centroids).values
+        d1 = dist_matrix(r1.centroids)
+        d2 = dist_matrix(r2.centroids)
         if np.max(np.abs(d1 - d2)) <= 1e-9:
             preserved += 1
     elapsed = time.time() - started

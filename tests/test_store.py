@@ -23,7 +23,6 @@ from fpverify.core import (
 )
 from fpverify.cluster import ClusterResult, kmeans_fing
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
-from fpverify.graph import DistanceMatrix, dist_matrix
 from fpverify.matching import Decision, modified_hausdorff
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
@@ -93,6 +92,18 @@ class TestEnroll:
         store = TemplateStore(tmp_path / "db")
         with pytest.raises(FingerprintError, match="not storable"):
             store.enroll(finger(1), "a\0b")
+        assert not (tmp_path / "db").exists()
+
+    @pytest.mark.parametrize("k", [0, 1, 10_000])
+    def test_k_out_of_range_rejected_before_clustering(self, tmp_path, monkeypatch, k):
+        # A k of 10,000 or more would write a V<k> key of more digits than
+        # the store opens again.
+        def no_clustering(*args, **kwargs):
+            raise AssertionError(f"clustered with k = {k}")
+
+        monkeypatch.setattr("fpverify.store.kmeans_fing", no_clustering)
+        with pytest.raises(FingerprintError, match="k must lie"):
+            TemplateStore(tmp_path / "db").enroll(finger(1), "a", k=k)
         assert not (tmp_path / "db").exists()
 
     def test_same_file_same_index_key(self, store):
@@ -515,6 +526,18 @@ class TestRecordFormat:
         with pytest.raises(FingerprintError):
             _parse_record(text)
 
+    @pytest.mark.parametrize("count", ["\u00b2", "9" * 5000], ids=["superscript-2", "5000-digits"])
+    @pytest.mark.parametrize("tag", ["MINUTIAE", "CENTROIDS"])
+    def test_block_count_that_is_not_1_to_18_ascii_digits_raises(self, tag, count):
+        # "\u00b2".isdigit() holds but int() refuses it; int() also refuses
+        # more than 4,300 digits. MINUTIAE is read from an FPREC2 record,
+        # CENTROIDS from an FPREC1 one.
+        old = (FPREC1_STORE / "p1.rec").read_text()
+        text = old if tag == "CENTROIDS" else _record_text(_parse_record(old))
+        count_line = next(line for line in text.splitlines() if line.startswith(tag + " "))
+        with pytest.raises(FingerprintError, match=f"{tag} block"):
+            _parse_record(text.replace(count_line, f"{tag} {count}"))
+
     def test_non_canonical_index_raises_before_clustering(self, monkeypatch):
         # The INDEX line's k is read by parse_index_string, so a key that is
         # not canonical raises before k-means runs at its V field.
@@ -612,7 +635,6 @@ VALUES = {
     "OrientationField": lambda: OrientationField(np.full((2, 3), 0.5), np.full((2, 3), 0.25)),
     "FeatureVector": lambda: FeatureVector(np.full(FEATURE_LEN, 0.5), np.ones(FEATURE_LEN), FingerClass.ARCH),
     "ClusterResult": lambda: kmeans_fing(finger(1), 5),
-    "DistanceMatrix": lambda: dist_matrix(kmeans_fing(finger(1), 5).centroids),
     "Signature": lambda: compute_signature(finger(1)),
     "TemplateRecord": lambda: TemplateRecord(
         **vars(compute_signature(finger(1))), id="a", class_label=FingerClass.WHORL, enrolled_at="2010-01-01"
@@ -649,7 +671,6 @@ GIVEN = {
     "OrientationField": (OrientationField, lambda: [np.full((2, 3), 0.5), np.full((2, 3), 0.25)]),
     "FeatureVector": (FeatureVector, lambda: [np.full(FEATURE_LEN, 0.5), np.full(FEATURE_LEN, 0.25)]),
     "ClusterResult": (ClusterResult, lambda: [np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]), 0.0, 1]),
-    "DistanceMatrix": (DistanceMatrix, lambda: [np.array([[0.0, 1.0], [1.0, 0.0]])]),
     "Signature": (Signature, _signature_args),
     "TemplateRecord": (TemplateRecord, lambda: [*_signature_args(), "a", None, "2010-01-01"]),
 }
