@@ -16,8 +16,9 @@ from fpverify import (
     kmeans_fing,
 )
 
-s = gen_synthetic_minutiae(SynthConfig(n_minutiae=30, seed=42))
-print(f"finger {s.source_id}: {len(s)} minutiae, core at ({s.core.x:.0f}, {s.core.y:.0f})")
+cfg = SynthConfig(n_minutiae=30, seed=42)
+s = gen_synthetic_minutiae(cfg)
+print(f"finger of seed {cfg.seed}: {len(s)} minutiae, core at ({s.core.x:.0f}, {s.core.y:.0f})")
 
 clusters = kmeans_fing(s, k=5)
 print(f"\nk-means (k=5) converged in {clusters.iterations} iterations, "

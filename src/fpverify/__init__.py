@@ -43,7 +43,6 @@ from .graph import (
 )
 from .matching import (
     DEFAULT_TAU,
-    Decision,
     MatchScore,
     directed_hausdorff,
     hausdorff,
@@ -72,7 +71,6 @@ from .som import (
     save_som,
     train_msom,
     train_som,
-    update_weights,
 )
 from .store import TemplateRecord, TemplateStore, VerifyResult, compute_signature
 from .synth import (

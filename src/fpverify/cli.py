@@ -79,7 +79,7 @@ def _cmd_identify(args) -> int:
         print("no candidates in bucket")
         return 0
     for rid, score in matches:
-        print(f"{rid}\tmhd {score.mhd:.3f}\t{score.decision.value}")
+        print(f"{rid}\tmhd {score.mhd:.3f}\t{'accept' if score.accepted else 'reject'}")
     return 0
 
 

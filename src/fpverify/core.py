@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -144,12 +145,11 @@ class MinutiaeSet(ArrayValue):
     """
 
     core: CorePoint | None
-    source_id: str
     xy: np.ndarray  # (n, 2) float64 positions
     theta: np.ndarray  # (n,) directions, wrapped into [0, 2*pi)
     kind: np.ndarray  # (n,) MIN1 kind codes
 
-    def __init__(self, minutiae=None, core=None, source_id="", xy=None, theta=None, kind=None):
+    def __init__(self, minutiae=None, core=None, xy=None, theta=None, kind=None):
         if minutiae is not None or xy is None:
             ms = tuple(minutiae or ())
             xy, theta, kind = [(m.x, m.y) for m in ms], [m.theta for m in ms], [m.kind.value for m in ms]
@@ -159,7 +159,7 @@ class MinutiaeSet(ArrayValue):
         rows_ok = len(xy) == len(theta) == len(kind) and set(kind.tolist()) <= _KIND_CODES
         if not (rows_ok and np.isfinite(xy).all() and np.isfinite(theta).all()):
             raise ValueError("each minutia needs a finite position and direction and a kind code E or B")
-        for name, value in zip(("core", "source_id", "xy", "theta", "kind"), (core, source_id, xy, theta, kind)):
+        for name, value in zip(("core", "xy", "theta", "kind"), (core, xy, theta, kind)):
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -181,8 +181,8 @@ def apply_transform(mset: MinutiaeSet, t: RigidTransform) -> MinutiaeSet:
     """Rotate every point about the pivot, then translate.
 
     Minutia directions are incremented by the rotation (mod 2*pi); the core
-    point moves like any other point; source_id is preserved. The identity
-    transform returns an equal set bit for bit.
+    point moves like any other point. The identity transform returns an
+    equal set bit for bit.
     """
     if len(mset) == 0:
         raise EmptySet("cannot transform an empty minutiae set")
@@ -200,7 +200,7 @@ def apply_transform(mset: MinutiaeSet, t: RigidTransform) -> MinutiaeSet:
     xy = np.stack(move(mset.xy[:, 0], mset.xy[:, 1]), axis=1)
     core = None if mset.core is None else CorePoint(*move(mset.core.x, mset.core.y))
     theta = mset.theta if r == 0.0 else mset.theta + r
-    return MinutiaeSet(xy=xy, theta=theta, kind=mset.kind, core=core, source_id=mset.source_id)
+    return MinutiaeSet(xy=xy, theta=theta, kind=mset.kind, core=core)
 
 
 def to_core_relative(mset: MinutiaeSet) -> MinutiaeSet:
@@ -209,10 +209,10 @@ def to_core_relative(mset: MinutiaeSet) -> MinutiaeSet:
         raise MissingCore("set has no core point")
     xy = mset.xy - (mset.core.x, mset.core.y)
     origin = CorePoint(0.0, 0.0)
-    return MinutiaeSet(xy=xy, theta=mset.theta, kind=mset.kind, core=origin, source_id=mset.source_id)
+    return MinutiaeSet(xy=xy, theta=mset.theta, kind=mset.kind, core=origin)
 
 
-def parse_minutiae(data: bytes | str, source_id: str = "") -> MinutiaeSet:
+def parse_minutiae(data: bytes | str) -> MinutiaeSet:
     """Parse a MIN1 byte stream into a validated MinutiaeSet.
 
     Raises MalformedHeader, MalformedLine, DuplicatePoint or EmptySet.
@@ -272,16 +272,12 @@ def parse_minutiae(data: bytes | str, source_id: str = "") -> MinutiaeSet:
 
     if not xy:
         raise EmptySet("file contains no minutiae")
-    return MinutiaeSet(xy=xy, theta=theta, kind=kind, core=core, source_id=source_id)
+    return MinutiaeSet(xy=xy, theta=theta, kind=kind, core=core)
 
 
 def serialize_minutiae(mset: MinutiaeSet, sig_digits: int = 9) -> bytes:
     """Serialize to MIN1 text. parse(serialize(s)) == s for 9-digit coordinates
-    (pass sig_digits=17 for an exact float64 round trip).
-
-    source_id is not part of the format; pass it back to parse_minutiae to
-    round-trip it.
-    """
+    (pass sig_digits=17 for an exact float64 round trip)."""
     out = ["MIN1"]
     if mset.core is not None:
         out.append(f"CORE {fmt_real(mset.core.x, sig_digits)} {fmt_real(mset.core.y, sig_digits)}")
@@ -291,14 +287,9 @@ def serialize_minutiae(mset: MinutiaeSet, sig_digits: int = 9) -> bytes:
 
 
 def load_minutiae(path) -> MinutiaeSet:
-    """Read a MIN1 file; the file stem becomes the source_id."""
-    from pathlib import Path
-
-    p = Path(path)
-    return parse_minutiae(p.read_bytes(), source_id=p.stem)
+    """Read a MIN1 file."""
+    return parse_minutiae(Path(path).read_bytes())
 
 
 def save_minutiae(mset: MinutiaeSet, path) -> None:
-    from pathlib import Path
-
     Path(path).write_bytes(serialize_minutiae(mset))

@@ -18,9 +18,11 @@ import numpy as np
 
 from .core import MAX_COORDINATE
 from .errors import EmptyScenario, FingerprintError, ZeroTrials
-from .matching import DEFAULT_TAU, Decision, check_tau
+from .matching import DEFAULT_TAU, check_tau
 from .store import DEFAULT_K, VerifyResult, compute_signature, decide, gate_trace
 from .synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
+
+MAX_SCENARIO_SIZE = 1_000_000  # fingers plus trials, each drawing one seed before any trial runs
 
 
 def compute_far(wrong_accepts: int, trials: int) -> float:
@@ -75,6 +77,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if min(self.seed, self.genuine_pairs, self.imposter_pairs) < 0 or self.fingers < 1:
             raise FingerprintError("seed and pair counts must be >= 0, fingers >= 1")
+        if self.fingers + self.genuine_pairs + self.imposter_pairs > MAX_SCENARIO_SIZE:
+            raise FingerprintError(f"fingers plus pairs must total at most {MAX_SCENARIO_SIZE:,}")
         if not 2 <= self.k <= self.n_minutiae:
             raise FingerprintError(f"k must lie in [2, n_minutiae], not {self.k}")
         if not (math.isfinite(self.max_rotation) and 0 <= self.max_translation <= MAX_COORDINATE):
@@ -138,12 +142,8 @@ def run_trials(scenario: ScenarioConfig) -> list[tuple[bool, VerifyResult]]:
     for trial in range(total):
         genuine = trial < scenario.genuine_pairs
         seed = int(seeds[scenario.fingers + trial])
-        if genuine:
-            t_idx = trial % scenario.fingers
-            p_idx = t_idx
-        else:
-            t_idx = trial % scenario.fingers
-            p_idx = (t_idx + 1 + trial % (scenario.fingers - 1)) % scenario.fingers
+        t_idx = trial % scenario.fingers
+        p_idx = t_idx if genuine else (t_idx + 1 + trial % (scenario.fingers - 1)) % scenario.fingers
         probe_set = perturb_impression(
             fingers[p_idx],
             scenario.synth_config(seed),
@@ -163,7 +163,7 @@ def report_at(outcomes: list[tuple[bool, VerifyResult]], tau: float) -> EvalRepo
     f = r = 0
     for genuine, result in outcomes:
         index_gate, iso_gate, _ = result.gates
-        accepted = decide(index_gate.passed, iso_gate.passed, result.score.mhd, tau)[1] is Decision.ACCEPT
+        accepted = decide(index_gate.passed, iso_gate.passed, result.score.mhd, tau)[1]
         f += accepted and not genuine
         r += genuine and not accepted
     return EvalReport(wrong_accepts=f, wrong_rejects=r, trials=len(outcomes))

@@ -141,13 +141,13 @@ def parse_index_string(s: str) -> GraphIndex:
 
 
 def is_isomorphic(g1: MinutiaeGraph, g2: MinutiaeGraph) -> bool:
-    """Exact: equal gate-1 indexes (which fix the vertex and edge counts), then
-    one backtracking search. It maps g1's vertices, highest degree first, each
-    to an unused g2 vertex of equal degree whose adjacency agrees with every
-    mapped pair (w, x): (w ~ u) == (x ~ v)."""
-    if compute_index(g1) != compute_index(g2):
-        return False
+    """Exact: equal degree sequences (the gate-1 index, which fixes the vertex
+    and edge counts), then one backtracking search. It maps g1's vertices,
+    highest degree first, each to an unused g2 vertex of equal degree whose
+    adjacency agrees with every mapped pair (w, x): (w ~ u) == (x ~ v)."""
     adj1, adj2 = g1.adjacency(), g2.adjacency()
+    if sorted(map(len, adj1.values())) != sorted(map(len, adj2.values())):
+        return False
     order = sorted(g1.vertices, key=lambda u: -len(adj1[u]))
     mapping: dict[int, int] = {}
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -43,11 +42,6 @@ DEFAULT_TAU = 12.0
 # run to run; the ~200 rotated 30-point probes take one template point at a
 # time, into one ~46 KB (30, 200) table reused for every point.
 TABLE_ENTRIES = 4096
-
-
-class Decision(Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
 
 
 def _as_points(points) -> np.ndarray:
@@ -135,7 +129,7 @@ class MatchScore:
     mhd: float
     directed_ab: float
     directed_ba: float
-    decision: Decision
+    accepted: bool
 
     def __post_init__(self):
         if not (0.0 <= self.mhd <= self.hausdorff + 1e-12):
@@ -161,6 +155,5 @@ def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
     d_ab = float(a_to_b.max())
     d_ba = float(b_to_a.max())
     mhd = float(mhd_of(a_to_b, b_to_a))
-    decision = Decision.ACCEPT if mhd <= tau else Decision.REJECT
-    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, decision=decision)
+    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, accepted=mhd <= tau)
 

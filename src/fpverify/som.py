@@ -28,6 +28,7 @@ from .orientation import FEATURE_LEN, FeatureVector, FingerClass
 
 CONVERGENCE_EPS = 1e-6
 INITIAL_RATE = 0.5  # the paper's learning rate at epoch 0
+MAX_MAP_SIDE = 256  # 65,536 nodes: 134 MB of float64 weights
 
 
 class InitMode(Enum):
@@ -63,8 +64,7 @@ class SomMap:
     labels: tuple[FingerClass | None, ...]
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("map side must be at least 2")
+        _check_side(self.m)
         w = np.asarray(self.weights, dtype=np.float64).reshape(self.m * self.m, FEATURE_LEN)
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
@@ -73,14 +73,10 @@ class SomMap:
         if len(self.labels) != self.m * self.m:
             raise ValueError("one label slot per node required")
 
-    @classmethod
-    def initialize(cls, m: int, cfg: TrainConfig, rng: np.random.Generator | None = None) -> "SomMap":
-        if cfg.init_mode is InitMode.ZERO:
-            w = np.zeros((m * m, FEATURE_LEN))
-        else:
-            rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-            w = rng.uniform(0.0, 0.01, size=(m * m, FEATURE_LEN))
-        return cls(m=m, weights=w, labels=(None,) * (m * m))
+
+def _check_side(m: int) -> None:
+    if not 2 <= m <= MAX_MAP_SIDE:
+        raise FingerprintError(f"map side must lie in [2, {MAX_MAP_SIDE}], not {m}")
 
 
 def find_winner(som: SomMap, x: np.ndarray, c: np.ndarray | None = None) -> int:
@@ -113,16 +109,6 @@ def _move_window(w: np.ndarray, m: int, x: np.ndarray, c, winner: int, radius: i
     w[mask] += step
 
 
-def update_weights(som: SomMap, x: np.ndarray, winner: int, t: int, cfg: TrainConfig) -> SomMap:
-    """One competitive update: nodes within the rectangular window around the
-    winner move toward x by the epoch-t learning rate; all others stay."""
-    if not 0 <= t < cfg.epochs:
-        raise ValueError("epoch index out of range")
-    w = som.weights.copy()
-    _move_window(w, som.m, np.asarray(x, dtype=np.float64), None, winner, cfg.radius(t, som.m), cfg.learning_rate(t))
-    return SomMap(m=som.m, weights=w, labels=som.labels)
-
-
 def _majority_labels(som_m: int, winners: list[int], classes: list) -> tuple[FingerClass | None, ...]:
     overall = Counter(c for c in classes if c is not None)
     enum_order = {c: i for i, c in enumerate(FingerClass)}
@@ -140,12 +126,15 @@ def _train(vectors: list[FeatureVector], m: int, cfg: TrainConfig, on_epoch, cer
     """The one training loop; ``certainties`` None trains the plain map."""
     if not vectors:
         raise EmptyTrainingSet("no training vectors")
+    _check_side(m)  # before the m*m weights are allocated
     xs = np.stack([v.directions for v in vectors])
     cs = [None] * len(xs) if certainties is None else np.stack(certainties)
     # x_avg and the certainties stay fixed, so every input is blended once.
     inputs = xs if certainties is None else msom_blend(xs, cs, xs.mean(axis=0))
     rng = np.random.default_rng(cfg.seed)
-    som = SomMap.initialize(m, cfg, rng=rng)
+    shape = (m * m, FEATURE_LEN)
+    start = np.zeros(shape) if cfg.init_mode is InitMode.ZERO else rng.uniform(0.0, 0.01, size=shape)
+    som = SomMap(m=m, weights=start, labels=(None,) * (m * m))
     w = som.weights  # updated in place, so the winner search sees every step
 
     for t in range(cfg.epochs):
@@ -230,6 +219,7 @@ def load_som(path) -> SomMap:
         dim = int(header[2].removeprefix("dim="))
         if dim != FEATURE_LEN:
             raise FingerprintError(f"unsupported vector dimension {dim}")
+        _check_side(m)
         n = m * m
         by_value = {fc.value: fc for fc in FingerClass}
         labels = []

@@ -50,7 +50,7 @@ from .cluster import kmeans_fing
 from .core import ArrayValue, MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
 from .errors import DuplicateId, FingerprintError, UnknownId
 from .graph import MinutiaeGraph, build_nn_graph, compute_index, dist_matrix, index_string, parse_index_string
-from .matching import DEFAULT_TAU, Decision, MatchScore, check_tau, mhd_of, nearest_distances, score_point_sets
+from .matching import DEFAULT_TAU, MatchScore, check_tau, mhd_of, nearest_distances, score_point_sets
 from .orientation import FingerClass
 
 DEFAULT_K = 5
@@ -149,15 +149,15 @@ def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[fl
     return angles[best], float(mhds[best])
 
 
-def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[GateCheck, ...], Decision]:
-    """The accept rule, as the three gates in order and the decision: accept
-    when the index keys match, the graphs are isomorphic and MHD <= tau."""
+def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[GateCheck, ...], bool]:
+    """The accept rule, as the three gates in order and whether the pair is
+    accepted: the index keys match, the graphs are isomorphic and MHD <= tau."""
     gates = (
         GateCheck("index", index_ok),
         GateCheck("isomorphism", iso_ok),
         GateCheck("mhd", mhd <= tau),
     )
-    return gates, Decision.ACCEPT if all(g.passed for g in gates) else Decision.REJECT
+    return gates, all(g.passed for g in gates)
 
 
 def gate_trace(probe_sig: Signature, template: Signature, tau: float) -> VerifyResult:
@@ -172,9 +172,9 @@ def gate_trace(probe_sig: Signature, template: Signature, tau: float) -> VerifyR
     template_pts = template.minutiae.coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
     score = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts, tau)
-    gates, decision = decide(index_ok, iso_ok, score.mhd, tau)
-    score = replace(score, decision=decision)
-    return VerifyResult(record_id="", accepted=decision is Decision.ACCEPT, gates=gates, score=score, rotation=angle)
+    gates, accepted = decide(index_ok, iso_ok, score.mhd, tau)
+    score = replace(score, accepted=accepted)
+    return VerifyResult(record_id="", accepted=accepted, gates=gates, score=score, rotation=angle)
 
 
 class TemplateStore:
@@ -242,7 +242,7 @@ class TemplateStore:
         # A k of more digits would write a manifest key the store cannot open.
         if not 2 <= k < 10**_MAX_K_DIGITS:
             raise FingerprintError(f"k must lie in [2, {10**_MAX_K_DIGITS}), not {k}")
-        sig = compute_signature(replace(mset, source_id=record_id), k=k)
+        sig = compute_signature(mset, k=k)
         enrolled_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
         record = TemplateRecord(id=record_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))
         fname = f"{record_id}.rec"
@@ -376,7 +376,7 @@ def _parse_record(text: str) -> TemplateRecord:
         raise FingerprintError(f"malformed template record: {exc}") from exc
     if k < 2:
         raise FingerprintError(f"record INDEX {index_key!r} names no k of at least 2")
-    sig = compute_signature(parse_minutiae("\n".join(min_block) + "\n", source_id=rec_id), k)
+    sig = compute_signature(parse_minutiae("\n".join(min_block) + "\n"), k)
     if sig.index_key != index_key:
         raise FingerprintError(f"record INDEX {index_key!r} is not the key of its minutiae, {sig.index_key!r}")
     return TemplateRecord(id=rec_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))

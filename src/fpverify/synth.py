@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def gen_synthetic_minutiae(cfg: SynthConfig) -> MinutiaeSet:
     theta = TWO_PI * draws[:, 0]
     kind = np.where(draws[:, 1] < 0.5, MinutiaKind.ENDING.value, MinutiaKind.BIFURCATION.value)
     core = CorePoint(cx, cy)
-    return MinutiaeSet(xy=placed, theta=theta, kind=kind, core=core, source_id=f"synth-{cfg.seed}")
+    return MinutiaeSet(xy=placed, theta=theta, kind=kind, core=core)
 
 
 def perturb_impression(
@@ -87,9 +88,7 @@ def perturb_impression(
     """
     rng = np.random.default_rng(cfg.seed)
     jitter = rng.normal(0.0, cfg.jitter_sigma, size=(len(mset), 2))
-    moved = MinutiaeSet(
-        xy=mset.xy + jitter, theta=mset.theta, kind=mset.kind, core=mset.core, source_id=mset.source_id
-    )
+    moved = MinutiaeSet(xy=mset.xy + jitter, theta=mset.theta, kind=mset.kind, core=mset.core)
 
     if mset.core is not None:
         pivot = (mset.core.x, mset.core.y)
@@ -156,24 +155,16 @@ def gen_synthetic_orientation(cfg: SynthConfig) -> tuple[OrientationField, CoreP
     # 0/pi wraparound, where Euclidean distance on raw angles misbehaves.
     base_angle = 0.5 * math.pi + rng.uniform(-0.15, 0.15)
     jitter = rng.uniform(-10.0, 10.0, size=(len(cores) + len(deltas), 2))
-    cores_px = [
-        (center + ox + jitter[i, 0], center + oy + jitter[i, 1])
-        for i, (ox, oy) in enumerate(cores)
-    ]
-    deltas_px = [
-        (center + ox + jitter[len(cores) + i, 0], center + oy + jitter[len(cores) + i, 1])
-        for i, (ox, oy) in enumerate(deltas)
-    ]
+    planted = [(center + ox + jx, center + oy + jy) for (ox, oy), (jx, jy) in zip(cores + deltas, jitter)]
+    cores_px, deltas_px = planted[: len(cores)], planted[len(cores) :]
 
-    bs = BLOCK_SIZE
-    block_x = (np.arange(side) + 0.5) * bs
-    block_y = (np.arange(side) + 0.5) * bs
-    px, py = np.meshgrid(block_x, block_y)
+    block_centers = (np.arange(side) + 0.5) * BLOCK_SIZE
+    px, py = np.meshgrid(block_centers, block_centers)
     directions = zero_pole_direction(px, py, cores_px, deltas_px, base_angle)
     inside = (px - center) ** 2 + (py - center) ** 2 <= cfg.disk_radius**2
     certainties = np.where(inside, 1.0, 0.0)
 
-    field = OrientationField(directions=directions, certainties=certainties, block_size=bs)
+    field = OrientationField(directions=directions, certainties=certainties, block_size=BLOCK_SIZE)
     if cores_px:
         truth = CorePoint(*cores_px[0])
     else:
@@ -202,8 +193,6 @@ def degrade_feature_vector(fv: FeatureVector, fraction: float, seed: int) -> Fea
 def save_orientation_field(field: OrientationField, path, core: CorePoint | None = None) -> None:
     """Write ``OF1 <cols> <rows> <block>``, an optional CORE line, then all
     directions and all certainties row-major at 9 significant digits."""
-    from pathlib import Path
-
     lines = [f"OF1 {field.cols} {field.rows} {field.block_size}"]
     if core is not None:
         lines.append(f"CORE {format(core.x, '.9g')} {format(core.y, '.9g')}")
@@ -217,8 +206,6 @@ def save_orientation_field(field: OrientationField, path, core: CorePoint | None
 def load_orientation_field(source) -> tuple[OrientationField, CorePoint | None]:
     """Read an OF1 file from a path or bytes (a str is always a path). A
     malformed file raises FingerprintError."""
-    from pathlib import Path
-
     try:
         text = (source if isinstance(source, bytes) else Path(source).read_bytes()).decode("utf-8")
         lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]

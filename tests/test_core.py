@@ -288,7 +288,7 @@ def test_apply_transform_is_the_per_minutia_formula_bit_for_bit(transform):
 class TestMinutiaeSetArrays:
     @pytest.fixture
     def s(self):
-        return parse_minutiae(b"MIN1\nCORE 5 5\n1 2 0.5 E\n3 4 1.5 B\n6 7 7.0 E\n", source_id="f")
+        return parse_minutiae(b"MIN1\nCORE 5 5\n1 2 0.5 E\n3 4 1.5 B\n6 7 7.0 E\n")
 
     def test_arrays_hold_the_minutiae(self, s):
         assert s.xy.shape == (3, 2) and s.theta[2] == 7.0 - 2 * math.pi
@@ -297,8 +297,8 @@ class TestMinutiaeSetArrays:
 
     def test_replace_minutiae_shortens_the_set(self, s):
         short = dataclasses.replace(s, minutiae=s.minutiae[:-1])
-        assert len(short) == 2 and (short.core, short.source_id) == (s.core, "f")
-        first_two = MinutiaeSet(minutiae=s.minutiae[:2], core=s.core, source_id="f")
+        assert len(short) == 2 and short.core == s.core
+        first_two = MinutiaeSet(minutiae=s.minutiae[:2], core=s.core)
         assert short == first_two and np.array_equal(short.xy, s.xy[:2])
 
     @pytest.mark.parametrize(
@@ -307,25 +307,19 @@ class TestMinutiaeSetArrays:
             ("xy", lambda s: s.xy + 1.0),
             ("theta", lambda s: s.theta[::-1]),
             ("kind", lambda s: np.array(["B", "B", "B"])),
-            ("source_id", lambda s: "g"),
             ("core", lambda s: CorePoint(0.0, 0.0)),
             ("minutiae", lambda s: s.minutiae[::-1]),
         ],
     )
     def test_replace_changes_that_field_alone(self, s, field, value):
         out = dataclasses.replace(s, **{field: value(s)})
-        expected = {"xy": s.xy, "theta": s.theta, "kind": s.kind, "source_id": s.source_id, "core": s.core}
+        expected = {"xy": s.xy, "theta": s.theta, "kind": s.kind, "core": s.core}
         if field == "minutiae":
             expected.update(xy=s.xy[::-1], theta=s.theta[::-1], kind=s.kind[::-1])
         else:
             expected[field] = value(s)
         assert out == MinutiaeSet(**expected)
         assert not any(a.flags.writeable for a in (out.xy, out.theta, out.kind))
-
-    def test_replace_source_id_keeps_the_arrays(self, s):
-        renamed = dataclasses.replace(s, source_id="g")
-        assert renamed.source_id == "g" and renamed != s
-        assert renamed == MinutiaeSet(xy=s.xy, theta=s.theta, kind=s.kind, core=s.core, source_id="g")
 
     def test_arrays_are_read_only(self, s):
         with pytest.raises(ValueError):

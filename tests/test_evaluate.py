@@ -72,6 +72,7 @@ class TestScenarioFile:
             "disk_radius 1e300",
             "disk_radius -1",
             "jitter_sigma nan",
+            "fingers 1000000000000",
         ],
     )
     def test_bad_value_raises_fingerprint_error(self, body):
@@ -79,6 +80,14 @@ class TestScenarioFile:
         # their own choosing.
         with pytest.raises(FingerprintError):
             parse_scenario("SCEN1\n" + body.replace("; ", "\n") + "\n")
+
+    def test_size_bound(self):
+        # Fingers plus pairs up to MAX_SCENARIO_SIZE construct; one more raises
+        # before any seed is drawn.
+        n = evaluate.MAX_SCENARIO_SIZE
+        assert ScenarioConfig(fingers=1, genuine_pairs=n - 1, imposter_pairs=0).genuine_pairs == n - 1
+        with pytest.raises(FingerprintError):
+            ScenarioConfig(fingers=2, genuine_pairs=n - 2, imposter_pairs=1)
 
 
 def small_scenario(**kw):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import fpverify.matching as matching_module
 from fpverify.errors import BadThreshold, EmptySet
 from fpverify.matching import (
-    Decision,
     directed_hausdorff,
     hausdorff,
     mhd_of,
@@ -173,7 +172,7 @@ class TestMatchDecision:
         s = np.array([(1.0, 1.0), (4.0, 5.0), (-3.0, 2.0)])
         score = score_point_sets(s, s, tau=0.001)
         assert score.mhd == 0.0
-        assert score.decision is Decision.ACCEPT
+        assert score.accepted is True
 
     def test_outlier_moves_hausdorff_not_mhd(self):
         base = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)]
@@ -182,12 +181,12 @@ class TestMatchDecision:
         outlier_min = oracle_directed([(200.0, 0.0)], base)
         assert score.hausdorff == outlier_min
         assert score.mhd == outlier_min / len(probe)
-        assert score.decision is (Decision.ACCEPT if score.mhd <= 12.0 else Decision.REJECT)
+        assert score.accepted is (score.mhd <= 12.0)
 
     def test_distant_sets_reject(self):
         probe = np.array([(0.0, 0.0), (1.0, 0.0)])
         template = np.array([(500.0, 500.0), (501.0, 500.0)])
-        assert score_point_sets(probe, template, tau=12.0).decision is Decision.REJECT
+        assert score_point_sets(probe, template, tau=12.0).accepted is False
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
     def test_tau_must_be_positive_and_finite(self, tau):

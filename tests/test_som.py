@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import fpverify.som as som_module
 from fpverify.errors import EmptyTrainingSet, FingerprintError, UntrainedMap
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass
 from fpverify.som import (
+    MAX_MAP_SIDE,
     InitMode,
     SomMap,
     TrainConfig,
@@ -14,7 +16,6 @@ from fpverify.som import (
     save_som,
     train_msom,
     train_som,
-    update_weights,
 )
 
 
@@ -61,29 +62,49 @@ class TestFindWinner:
 
 
 class TestUpdateWeights:
-    CFG = TrainConfig(epochs=2, init_mode=InitMode.ZERO)
+    """The schedules of TrainConfig and the one window update, som._move_window."""
+
+    def test_rate_schedule(self):
+        # L(t) = 0.5 * (1 - t/epochs)
+        cfg = TrainConfig(epochs=4)
+        assert [cfg.learning_rate(t) for t in range(4)] == [0.5, 0.375, 0.25, 0.125]
+
+    def test_radius_schedule(self):
+        # round(m - (m-1) * t/epochs) for m = 4: 4, 3.25, 2.5, 1.75, then 1 at t = epochs
+        cfg = TrainConfig(epochs=4)
+        assert [cfg.radius(t, 4) for t in range(5)] == [4, 3, 2, 2, 1]
 
     def test_midpoint_step(self):
-        som = toy_map(np.zeros((4, FEATURE_LEN)), m=2)
-        # epoch 0 of 2: L = 0.5*(1-0) = 0.5, radius 2 covers the 2x2 map
-        out = update_weights(som, np.ones(FEATURE_LEN), winner=0, t=0, cfg=self.CFG)
-        assert np.all(out.weights == 0.5)
+        # epoch 0 of 2: L = 0.5, and radius 2 covers the 2x2 map
+        cfg = TrainConfig(epochs=2)
+        w = np.zeros((4, FEATURE_LEN))
+        som_module._move_window(w, 2, np.ones(FEATURE_LEN), None, 0, cfg.radius(0, 2), cfg.learning_rate(0))
+        assert np.all(w == 0.5)
 
     def test_outside_window_unchanged(self):
-        som = toy_map(np.zeros((16, FEATURE_LEN)), m=4)
-        cfg = TrainConfig(epochs=4, init_mode=InitMode.ZERO)
-        # t=3: radius = round(4 - 3*3/4) = 2; winner 0 at (0,0): node 15 at
-        # (3,3) is outside Chebyshev distance 2.
-        out = update_weights(som, np.ones(FEATURE_LEN), winner=0, t=3, cfg=cfg)
-        assert np.all(out.weights[15] == 0.0)
-        assert np.all(out.weights[0] > 0.0)
+        # t=3 of 4: radius = round(4 - 3*3/4) = 2; winner 0 at (0,0): the
+        # nodes of row 3 or column 3 are outside Chebyshev distance 2.
+        cfg = TrainConfig(epochs=4)
+        w = np.zeros((16, FEATURE_LEN))
+        som_module._move_window(w, 4, np.ones(FEATURE_LEN), None, 0, cfg.radius(3, 4), cfg.learning_rate(3))
+        outside = [3, 7, 11, 12, 13, 14, 15]
+        assert np.all(w[outside] == 0.0)
+        assert np.all(np.delete(w, outside, axis=0) == 0.125)
 
     def test_full_rate_snaps_to_input(self):
-        # epoch 1 of 2: L = 0.5*(1-1/2) = 0.25, so 0.25 + 0.25*(0.75-0.25)
-        som = toy_map(np.full((4, FEATURE_LEN), 0.25), m=2)
+        # 0.25 + 1.0 * (0.75 - 0.25) is exactly 0.75
+        w = np.full((4, FEATURE_LEN), 0.25)
         x = np.full(FEATURE_LEN, 0.75)
-        out = update_weights(som, x, winner=0, t=1, cfg=self.CFG)
-        assert np.all(out.weights == 0.375)
+        som_module._move_window(w, 2, x, None, 3, 1, 1.0)
+        assert np.array_equal(w, np.broadcast_to(x, w.shape))
+
+    def test_step_scaled_by_certainty(self):
+        # A component of certainty 0 stays, one of certainty 1 takes the full step.
+        w = np.zeros((4, FEATURE_LEN))
+        c = np.zeros(FEATURE_LEN)
+        c[0] = 1.0
+        som_module._move_window(w, 2, np.ones(FEATURE_LEN), c, 0, 1, 0.5)
+        assert np.all(w[:, 0] == 0.5) and np.all(w[:, 1:] == 0.0)
 
 
 class TestMsomBlend:
@@ -158,12 +179,21 @@ class TestTraining:
         assert m1.labels == m2.labels
 
     def test_one_epoch_on_one_vector_is_one_update_step(self):
-        # The trainer and the public single-step API take bitwise the same step.
+        # The seed's first draw is the uniform [0, 0.01) start; epoch 0 of 1
+        # has rate 0.5 and radius 4, which covers the 4x4 map.
         x = cluster_vectors(np.full(FEATURE_LEN, 1.0), 1, 0.3, 17, FingerClass.ARCH)[0]
         cfg = TrainConfig(epochs=1, seed=5)
-        start = SomMap.initialize(4, cfg)
-        step = update_weights(start, x.directions, find_winner(start, x.directions), 0, cfg)
-        assert np.array_equal(train_som([x], 4, cfg).weights, step.weights)
+        w0 = np.random.default_rng(5).uniform(0.0, 0.01, size=(16, FEATURE_LEN))
+        assert np.array_equal(train_som([x], 4, cfg).weights, w0 + 0.5 * (x.directions - w0))
+
+    @pytest.mark.parametrize("m", [0, 1, MAX_MAP_SIDE + 1, 100_000])
+    def test_map_side_out_of_range_raises_before_allocating(self, m):
+        # At m = 100,000 the weights alone would be 18.6 TiB.
+        vecs = cluster_vectors(np.full(FEATURE_LEN, 1.0), 2, 0.3, 3, FingerClass.ARCH)
+        with pytest.raises(FingerprintError):
+            train_som(vecs, m, TrainConfig(epochs=1))
+        with pytest.raises(FingerprintError):
+            train_msom(vecs, m, TrainConfig(epochs=1))
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -296,8 +326,9 @@ class TestMapFile:
             "SOM1 m=x dim=256\n",
             "SOM1 m=-2 dim=256\n" + "arch\n" * 4 + ("0 " * 255 + "0\n") * 4,
             "SOM1 m=2 dim=256\n" + "-\n" * 4 + ("0 " * 255 + "zero\n") + ("0 " * 255 + "0\n") * 3,
+            "SOM1 m=100000 dim=256\n",
         ],
-        ids=["side", "negative-side", "weight"],
+        ids=["side", "negative-side", "weight", "side-too-large"],
     )
     def test_malformed_map_raises_fingerprint_error(self, tmp_path, text):
         # A bad header is test_rejects_bad_header.

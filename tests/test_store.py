@@ -23,7 +23,7 @@ from fpverify.core import (
 )
 from fpverify.cluster import ClusterResult, kmeans_fing
 from fpverify.errors import DuplicateId, FingerprintError, UnknownId
-from fpverify.matching import Decision, modified_hausdorff
+from fpverify.matching import modified_hausdorff
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
     Signature,
@@ -212,7 +212,7 @@ class TestIdentify:
         store.enroll(s, "only")
         matches = store.identify(s, tau=12.0)
         assert matches[0][0] == "only"
-        assert matches[0][1].decision is Decision.ACCEPT
+        assert matches[0][1].accepted is True
 
     def test_empty_bucket_is_valid(self, store):
         # Enroll with k=5 then probe with k=2: vertex counts differ, so the
@@ -666,7 +666,7 @@ def _signature_args():
 
 # Each value type and the arguments of a fresh value, its arrays writable.
 GIVEN = {
-    "MinutiaeSet": (MinutiaeSet, lambda: [None, CorePoint(0.0, 0.0), "a", np.ones((2, 2)), np.zeros(2), ["E", "B"]]),
+    "MinutiaeSet": (MinutiaeSet, lambda: [None, CorePoint(0.0, 0.0), np.ones((2, 2)), np.zeros(2), ["E", "B"]]),
     "GrayImage": (GrayImage, lambda: [np.arange(12, dtype=np.uint8).reshape(3, 4)]),
     "OrientationField": (OrientationField, lambda: [np.full((2, 3), 0.5), np.full((2, 3), 0.25)]),
     "FeatureVector": (FeatureVector, lambda: [np.full(FEATURE_LEN, 0.5), np.full(FEATURE_LEN, 0.25)]),
