@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 
 from fpverify import SynthConfig, TemplateStore, gen_synthetic_minutiae, perturb_impression
+from fpverify.store import GATES
 
 with tempfile.TemporaryDirectory() as tmp:
     store = TemplateStore(Path(tmp) / "db")
@@ -29,7 +30,7 @@ with tempfile.TemporaryDirectory() as tmp:
     print("\nverify probe against each claim:")
     for name in fingers:
         result = store.verify(probe, name, tau=12.0)
-        gates = " ".join(f"{g.name}={'ok' if g.passed else 'NO'}" for g in result.gates)
+        gates = " ".join(f"{name}={'ok' if passed else 'NO'}" for name, passed in zip(GATES, result.gates))
         print(f"  claim {name:6s} {'ACCEPT' if result.accepted else 'reject'}  "
               f"mhd {result.score.mhd:7.2f}  [{gates}]")
 

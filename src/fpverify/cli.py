@@ -27,7 +27,7 @@ from .orientation import (
     read_pgm,
     segment_by_certainty,
 )
-from .store import DEFAULT_K, TemplateStore
+from .store import DEFAULT_K, GATES, TemplateStore
 
 
 def _feature_from_file(path: str):
@@ -60,8 +60,8 @@ def _cmd_verify(args) -> int:
     store = TemplateStore(args.store)
     probe = load_minutiae(args.file)
     result = store.verify(probe, args.id, tau=args.tau)
-    for gate in result.gates:
-        print(f"gate {gate.name}: {'pass' if gate.passed else 'FAIL'}")
+    for name, passed in zip(GATES, result.gates):
+        print(f"gate {name}: {'pass' if passed else 'FAIL'}")
     s = result.score
     print(
         f"hausdorff {s.hausdorff:.3f}  mhd {s.mhd:.3f}  "

@@ -162,8 +162,7 @@ def report_at(outcomes: list[tuple[bool, VerifyResult]], tau: float) -> EvalRepo
         raise EmptyScenario("no trial outcomes")
     f = r = 0
     for genuine, result in outcomes:
-        index_gate, iso_gate, _ = result.gates
-        accepted = decide(index_gate.passed, iso_gate.passed, result.score.mhd, tau)[1]
+        accepted = decide(*result.gates[:2], result.score.mhd, tau)[1]
         f += accepted and not genuine
         r += genuine and not accepted
     return EvalReport(wrong_accepts=f, wrong_rejects=r, trials=len(outcomes))

@@ -2,10 +2,10 @@
 
 Directed Hausdorff, symmetric Hausdorff and the Modified Hausdorff distance
 (MHD, mean of nearest-neighbor distances instead of the max) over 2-D point
-sets, plus ``score_point_sets``, which thresholds MHD as gate 3 of
-``store.gate_trace`` does. The max-based Hausdorff blows up from a single
-outlier; MHD dilutes it by the set size, which is why the decision statistic
-is MHD.
+sets, plus ``score_point_sets``, the three distances that gate 3 of
+``store.gate_trace`` reports; ``store.decide`` applies the threshold. The
+max-based Hausdorff blows up from a single outlier; MHD dilutes it by the set
+size, which is why the decision statistic is MHD.
 
 One kernel, ``nearest_distances``, serves all three and the batched rotation
 search in ``store``, and it agrees bit for bit with a brute-force double loop
@@ -148,12 +148,8 @@ def check_tau(tau: float) -> None:
         raise BadThreshold(f"tau must be a positive finite number, not {tau!r}")
 
 
-def score_point_sets(a_points, b_points, tau: float) -> MatchScore:
-    """Score two raw point arrays; Accept iff MHD <= tau."""
-    check_tau(tau)
+def score_point_sets(a_points, b_points) -> tuple[float, float, float]:
+    """(MHD, directed a->b, directed b->a) of two raw point arrays."""
     a_to_b, b_to_a = nearest_distances(_as_points(a_points), _as_points(b_points))
-    d_ab = float(a_to_b.max())
-    d_ba = float(b_to_a.max())
-    mhd = float(mhd_of(a_to_b, b_to_a))
-    return MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, accepted=mhd <= tau)
+    return float(mhd_of(a_to_b, b_to_a)), float(a_to_b.max()), float(b_to_a.max())
 

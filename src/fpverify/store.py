@@ -25,8 +25,9 @@ read; those blocks are skipped.
                    probe to the template by the best candidate rotation
                    about the core, must not exceed tau.
 
-``decide`` is the one accept rule (all three gates pass) behind ``verify``,
-each ``identify`` candidate, the CLI tag and every ``evaluate`` threshold.
+``decide`` is the one accept rule (all three gates pass) and the one test of
+MHD <= tau, behind ``verify``, each ``identify`` candidate, the CLI tag and
+every ``evaluate`` threshold; its verdicts are bools named by ``GATES``.
 Gate 3 scores all candidate rotations (angle differences of similar-radius
 point pairs, so a pure rotation aligns exactly) in one call of the
 ``matching`` kernel on the batch of rotated probes, so the MHD it minimizes is,
@@ -93,26 +94,20 @@ class TemplateRecord(Signature):
     enrolled_at: str  # ISO-8601 UTC
 
 
-@dataclass(frozen=True)
-class GateCheck:
-    name: str
-    passed: bool
+GATES = ("index", "isomorphism", "mhd")  # the names of VerifyResult.gates, in order
 
 
 @dataclass(frozen=True)
 class VerifyResult:
     record_id: str
     accepted: bool
-    gates: tuple[GateCheck, ...]
+    gates: tuple[bool, bool, bool]  # each gate's verdict, named by GATES
     score: MatchScore
     rotation: float  # probe-to-template alignment angle used in gate 3
 
     @property
     def first_failed(self) -> str | None:
-        for gate in self.gates:
-            if not gate.passed:
-                return gate.name
-        return None
+        return next((name for name, passed in zip(GATES, self.gates) if not passed), None)
 
 
 def _rotated_columns(points: np.ndarray, angles: list[float]) -> np.ndarray:
@@ -149,31 +144,28 @@ def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[fl
     return angles[best], float(mhds[best])
 
 
-def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[GateCheck, ...], bool]:
-    """The accept rule, as the three gates in order and whether the pair is
-    accepted: the index keys match, the graphs are isomorphic and MHD <= tau."""
-    gates = (
-        GateCheck("index", index_ok),
-        GateCheck("isomorphism", iso_ok),
-        GateCheck("mhd", mhd <= tau),
-    )
-    return gates, all(g.passed for g in gates)
+def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[bool, bool, bool], bool]:
+    """The accept rule: the verdicts of the gates named by ``GATES`` (keys
+    match, graphs isomorphic, MHD <= tau) and whether all of them pass."""
+    gates = (index_ok, iso_ok, mhd <= tau)
+    return gates, all(gates)
 
 
 def gate_trace(probe_sig: Signature, template: Signature, tau: float) -> VerifyResult:
-    """The one result of one pair: its gates, its score as decided by
-    ``decide``, its alignment angle and whether it is accepted. The record id
-    is left empty for the caller that knows it. Gate 2 looks ``is_isomorphic``
-    up on the ``graph`` module at each call, so a wrapper put there sees it."""
+    """The one result of one pair, its gates and score decided by ``decide``;
+    a bad tau raises before any gate runs. The record id is left empty for the
+    caller that knows it. Gate 2 looks ``is_isomorphic`` up on the ``graph``
+    module at each call, so a wrapper put there sees it."""
+    check_tau(tau)
     index_ok = probe_sig.index_key == template.index_key
     iso_ok = graph.is_isomorphic(probe_sig.graph, template.graph)
 
     probe_pts = probe_sig.minutiae.coords()
     template_pts = template.minutiae.coords()
     angle, _ = best_rotation_alignment(probe_pts, template_pts)
-    score = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts, tau)
-    gates, accepted = decide(index_ok, iso_ok, score.mhd, tau)
-    score = replace(score, accepted=accepted)
+    mhd, d_ab, d_ba = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts)
+    gates, accepted = decide(index_ok, iso_ok, mhd, tau)
+    score = MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, accepted=accepted)
     return VerifyResult(record_id="", accepted=accepted, gates=gates, score=score, rotation=angle)
 
 
@@ -187,8 +179,7 @@ class TemplateStore:
     """
 
     def __init__(self, directory):
-        self.directory = Path(directory)
-        self._made = False  # the first enroll makes the directory, so a read leaves none behind
+        self.directory = Path(directory)  # made by the first enroll, so a read leaves none behind
         self._index: dict[str, tuple[str, str, int]] = {}  # id -> (index_key, filename, k)
         self._parsed: dict[str, TemplateRecord] = {}  # filled by enroll, and by get after a clean parse
         manifest = self.directory / _MANIFEST
@@ -246,9 +237,7 @@ class TemplateStore:
         enrolled_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
         record = TemplateRecord(id=record_id, class_label=class_label, enrolled_at=enrolled_at, **vars(sig))
         fname = f"{record_id}.rec"
-        if not self._made:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._made = True
+        self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / fname).write_text(_record_text(record), encoding="utf-8")
         with (self.directory / _MANIFEST).open("a", encoding="utf-8") as fh:
             fh.write(f"{record_id}\t{record.index_key}\t{fname}\n")

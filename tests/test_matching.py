@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpverify.matching as matching_module
-from fpverify.errors import BadThreshold, EmptySet
+from fpverify.errors import EmptySet
 from fpverify.matching import (
     directed_hausdorff,
     hausdorff,
@@ -165,39 +165,26 @@ class TestRigidInvariance:
         assert directed_hausdorff(a2, b2) == pytest.approx(directed_hausdorff(a, b), abs=1e-9)
 
 
-class TestMatchDecision:
-    """The accept/reject decision of score_point_sets, on raw point arrays."""
+class TestScorePointSets:
+    """The three distances of score_point_sets, on raw point arrays; no
+    threshold, since store.decide applies tau."""
 
-    def test_self_match_accepts(self):
+    def test_self_match_is_zero(self):
         s = np.array([(1.0, 1.0), (4.0, 5.0), (-3.0, 2.0)])
-        score = score_point_sets(s, s, tau=0.001)
-        assert score.mhd == 0.0
-        assert score.accepted is True
+        assert score_point_sets(s, s) == (0.0, 0.0, 0.0)
 
     def test_outlier_moves_hausdorff_not_mhd(self):
         base = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.0)]
         probe = np.array(base + [(200.0, 0.0)])
-        score = score_point_sets(probe, np.array(base), tau=12.0)
+        mhd, d_ab, d_ba = score_point_sets(probe, np.array(base))
         outlier_min = oracle_directed([(200.0, 0.0)], base)
-        assert score.hausdorff == outlier_min
-        assert score.mhd == outlier_min / len(probe)
-        assert score.accepted is (score.mhd <= 12.0)
-
-    def test_distant_sets_reject(self):
-        probe = np.array([(0.0, 0.0), (1.0, 0.0)])
-        template = np.array([(500.0, 500.0), (501.0, 500.0)])
-        assert score_point_sets(probe, template, tau=12.0).accepted is False
-
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
-    def test_tau_must_be_positive_and_finite(self, tau):
-        s = np.array([(1.0, 1.0), (4.0, 5.0)])
-        with pytest.raises(BadThreshold):
-            score_point_sets(s, s, tau)
+        assert (d_ab, d_ba) == (outlier_min, 0.0)
+        assert mhd == outlier_min / len(probe)
 
     def test_invariants_of_score(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             a, b = random_pair(rng, max_size=20)
-            score = score_point_sets(a, b, tau=10.0)
-            assert score.hausdorff == max(score.directed_ab, score.directed_ba)
-            assert 0.0 <= score.mhd <= score.hausdorff + 1e-12
+            mhd, d_ab, d_ba = score_point_sets(a, b)
+            assert (mhd, d_ab, d_ba) == (modified_hausdorff(a, b), directed_hausdorff(a, b), directed_hausdorff(b, a))
+            assert 0.0 <= mhd <= max(d_ab, d_ba) + 1e-12

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import shutil
@@ -22,17 +23,20 @@ from fpverify.core import (
     to_core_relative,
 )
 from fpverify.cluster import ClusterResult, kmeans_fing
-from fpverify.errors import DuplicateId, FingerprintError, UnknownId
-from fpverify.matching import modified_hausdorff
+from fpverify.errors import BadThreshold, DuplicateId, FingerprintError, UnknownId
+from fpverify.matching import MatchScore, modified_hausdorff, score_point_sets
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
+    GATES,
     Signature,
     TemplateRecord,
     TemplateStore,
+    VerifyResult,
     _parse_record,
     _record_text,
     best_rotation_alignment,
     compute_signature,
+    decide,
     gate_trace,
 )
 from fpverify.synth import SynthConfig, gen_synthetic_minutiae, perturb_impression
@@ -147,7 +151,7 @@ class TestVerify:
         store.enroll(s, "self")
         result = store.verify(s, "self", tau=12.0)
         assert result.accepted
-        assert all(g.passed for g in result.gates)
+        assert result.gates == (True, True, True)
         assert result.score.mhd == pytest.approx(0.0, abs=1e-9)
 
     def test_rotated_probe_accepts_with_zero_mhd(self, store):
@@ -157,7 +161,7 @@ class TestVerify:
             s, RigidTransform(rotation=1.234, pivot=(s.core.x, s.core.y))
         )
         result = store.verify(probe, "rot", tau=12.0)
-        assert [g.passed for g in result.gates] == [True, True, True]
+        assert result.gates == (True, True, True)
         assert result.score.mhd <= 1e-9
         assert result.accepted
 
@@ -204,6 +208,52 @@ class TestVerify:
         r1 = store.verify(probe, "d", tau=12.0)
         r2 = store.verify(probe, "d", tau=12.0)
         assert r1 == r2
+
+
+class TestDecide:
+    """The accept rule on its own: three verdicts named by GATES, and accept
+    when all pass."""
+
+    def test_all_gates_pass_accepts(self):
+        assert decide(True, True, 3.0, 12.0) == ((True, True, True), True)
+
+    def test_mhd_equal_to_tau_accepts(self):
+        assert decide(True, True, 12.0, 12.0) == ((True, True, True), True)
+        assert decide(True, True, math.nextafter(12.0, math.inf), 12.0) == ((True, True, False), False)
+
+    @pytest.mark.parametrize("failing", range(3), ids=GATES)
+    def test_each_failing_gate_rejects(self, failing):
+        index_ok, iso_ok = failing != 0, failing != 1
+        mhd = 13.0 if failing == 2 else 1.0
+        gates, accepted = decide(index_ok, iso_ok, mhd, 12.0)
+        assert gates == tuple(i != failing for i in range(3))
+        assert accepted is False
+
+    def test_distant_sets_reject(self):
+        probe = np.array([(0.0, 0.0), (1.0, 0.0)])
+        template = np.array([(500.0, 500.0), (501.0, 500.0)])
+        mhd, _, _ = score_point_sets(probe, template)
+        assert decide(True, True, mhd, 12.0) == ((True, True, False), False)
+
+    def test_first_failed_names_the_first_false_gate(self):
+        score = MatchScore(mhd=1.0, directed_ab=2.0, directed_ba=2.0, accepted=False)
+        for gates in itertools.product((True, False), repeat=3):
+            result = VerifyResult(record_id="x", accepted=all(gates), gates=gates, score=score, rotation=0.0)
+            assert result.first_failed == (GATES[gates.index(False)] if False in gates else None)
+
+
+class TestGateTrace:
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_must_be_positive_and_finite(self, tau, monkeypatch):
+        # A bad tau raises before any gate runs.
+        def no_gate(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr("fpverify.graph.is_isomorphic", no_gate)
+        monkeypatch.setattr("fpverify.store.best_rotation_alignment", no_gate)
+        sig = compute_signature(finger(1))
+        with pytest.raises(BadThreshold):
+            gate_trace(sig, sig, tau)
 
 
 class TestIdentify:

@@ -47,6 +47,52 @@ class TestGenMinutiae:
             gen_synthetic_minutiae(SynthConfig(n_minutiae=500, disk_radius=10.0, seed=0))
 
 
+def brute_force_minutiae(cfg):
+    """The sampler as a plain loop: each candidate against every placed point.
+    Frozen; the grid of cells in ``gen_synthetic_minutiae`` must agree with it."""
+    rng = np.random.default_rng(cfg.seed)
+    cx, cy = DISK_CENTER
+    placed = []
+    attempts = 0
+    while len(placed) < cfg.n_minutiae:
+        if attempts >= 100_000:
+            raise ConfigInfeasible("infeasible")
+        attempts += 1
+        r = cfg.disk_radius * math.sqrt(rng.uniform())
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        x, y = cx + r * math.cos(phi), cy + r * math.sin(phi)
+        if all((x - px) ** 2 + (y - py) ** 2 >= MIN_SEPARATION**2 for px, py in placed):
+            placed.append((x, y))
+    draws = rng.uniform(size=(cfg.n_minutiae, 2))
+    return np.array(placed), draws
+
+
+class TestGridSamplerMatchesBruteForce:
+    @pytest.mark.parametrize(
+        "n, radius, seeds",
+        [(30, 120.0, 100), (60, 120.0, 100), (200, 300.0, 20), (200, 50.0, 10), (30, 10.0, 1), (3, 1e6, 20)],
+        ids=["default", "denser", "large", "dense", "infeasible", "sparse"],
+    )
+    def test_same_sets(self, n, radius, seeds):
+        for seed in range(seeds):
+            cfg = SynthConfig(n_minutiae=n, disk_radius=radius, seed=seed)
+            try:
+                want_xy, draws = brute_force_minutiae(cfg)
+            except ConfigInfeasible:
+                with pytest.raises(ConfigInfeasible):
+                    gen_synthetic_minutiae(cfg)
+                continue
+            got = gen_synthetic_minutiae(cfg)
+            assert np.array_equal(got.xy, want_xy), (n, radius, seed)
+            assert np.array_equal(got.theta, 2.0 * math.pi * draws[:, 0]), (n, radius, seed)
+
+    def test_infeasible_count_fails_fast(self):
+        # 100,000 draws cannot place 200,000 points; each draw is tested
+        # against a few cells, not against every point placed so far.
+        with pytest.raises(ConfigInfeasible):
+            gen_synthetic_minutiae(SynthConfig(n_minutiae=200_000, disk_radius=1e6, seed=0))
+
+
 class TestPerturb:
     def test_no_jitter_no_motion_is_identity(self):
         s = gen_synthetic_minutiae(SynthConfig(seed=5))
