@@ -153,9 +153,9 @@ class MinutiaeSet(ArrayValue):
         if minutiae is not None or xy is None:
             ms = tuple(minutiae or ())
             xy, theta, kind = [(m.x, m.y) for m in ms], [m.theta for m in ms], [m.kind.value for m in ms]
-        xy = np.array(xy, dtype=np.float64).reshape(-1, 2)
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         theta = wrap_angle(np.asarray(theta, dtype=np.float64).reshape(-1))
-        kind = np.array(kind, dtype=str).reshape(-1)
+        kind = np.asarray(kind, dtype=str).reshape(-1)
         rows_ok = len(xy) == len(theta) == len(kind) and set(kind.tolist()) <= _KIND_CODES
         if not (rows_ok and np.isfinite(xy).all() and np.isfinite(theta).all()):
             raise ValueError("each minutia needs a finite position and direction and a kind code E or B")

@@ -3,12 +3,12 @@
 Directed Hausdorff, symmetric Hausdorff and the Modified Hausdorff distance
 (MHD, mean of nearest-neighbor distances instead of the max) over 2-D point
 sets, plus ``score_point_sets``, the three distances that gate 3 of
-``store.gate_trace`` reports; ``store.decide`` applies the threshold. The
-max-based Hausdorff blows up from a single outlier; MHD dilutes it by the set
-size, which is why the decision statistic is MHD.
+``store.gate_trace`` reports, for all rotated probes at once; ``store.decide``
+applies the threshold. The max-based Hausdorff blows up from a single outlier;
+MHD dilutes it by the set size, which is why the decision statistic is MHD.
 
-One kernel, ``nearest_distances``, serves all three and the batched rotation
-search in ``store``, and it agrees bit for bit with a brute-force double loop
+One kernel, ``nearest_distances``, serves all three and the batches of
+``score_point_sets``, and it agrees bit for bit with a brute-force double loop
 over per-pair sqrt(dx*dx + dy*dy) with sequential sums. It lays the C sets of
 a batch out as (n, C) x and y columns, the sets on the last, contiguous axis,
 so the a->b minima are an elementwise ``np.minimum`` of whole rows and the
@@ -148,8 +148,11 @@ def check_tau(tau: float) -> None:
         raise BadThreshold(f"tau must be a positive finite number, not {tau!r}")
 
 
-def score_point_sets(a_points, b_points) -> tuple[float, float, float]:
-    """(MHD, directed a->b, directed b->a) of two raw point arrays."""
-    a_to_b, b_to_a = nearest_distances(_as_points(a_points), _as_points(b_points))
-    return float(mhd_of(a_to_b, b_to_a)), float(a_to_b.max()), float(b_to_a.max())
+def score_point_sets(a_points, b_points) -> tuple:
+    """(MHD, directed a->b, directed b->a) as floats; a (C, n, 2) batch ``a_points`` gives (C,) arrays."""
+    a = np.asarray(a_points, dtype=np.float64)
+    batch = a.ndim == 3 and a.size > 0  # an empty batch raises EmptySet as a set does
+    a_to_b, b_to_a = nearest_distances(a if batch else _as_points(a), _as_points(b_points))
+    scores = mhd_of(a_to_b, b_to_a), a_to_b.max(axis=-1), b_to_a.max(axis=-1)
+    return scores if batch else tuple(map(float, scores))
 

@@ -29,11 +29,9 @@ read; those blocks are skipped.
 MHD <= tau, behind ``verify``, each ``identify`` candidate, the CLI tag and
 every ``evaluate`` threshold; its verdicts are bools named by ``GATES``.
 Gate 3 scores all candidate rotations (angle differences of similar-radius
-point pairs, so a pure rotation aligns exactly) in one call of the
-``matching`` kernel on the batch of rotated probes, so the MHD it minimizes is,
-to the bit, the one reported. The kernel bounds that batch's tables by taking
-the template a block of points at a time: one point, for the ~200 candidates
-of a 30-point pair.
+point pairs, so a pure rotation aligns exactly) in one ``score_point_sets``
+call on the batch of rotated probes; the winning column is, to the bit, the
+reported MHD and both directed distances.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .cluster import kmeans_fing
 from .core import ArrayValue, MinutiaeSet, parse_minutiae, serialize_minutiae, to_core_relative
 from .errors import DuplicateId, FingerprintError, UnknownId
 from .graph import MinutiaeGraph, build_nn_graph, compute_index, dist_matrix, index_string, parse_index_string
-from .matching import DEFAULT_TAU, MatchScore, check_tau, mhd_of, nearest_distances, score_point_sets
+from .matching import DEFAULT_TAU, MatchScore, check_tau, score_point_sets
 from .orientation import FingerClass
 
 DEFAULT_K = 5
@@ -110,24 +108,12 @@ class VerifyResult:
         return next((name for name, passed in zip(GATES, self.gates) if not passed), None)
 
 
-def _rotated_columns(points: np.ndarray, angles: list[float]) -> np.ndarray:
-    """(2, n, C) x and y of the (n, 2) points rotated by each of C angles,
-    with math cos/sin: the columns the kernel reads, and ``.T`` the batch of
-    C rotated sets. Gate 3's search and its rescoring both rotate here."""
-    cos = np.fromiter(map(math.cos, angles), float, len(angles))
-    sin = np.fromiter(map(math.sin, angles), float, len(angles))
-    x, y = points[:, 0, None], points[:, 1, None]
-    rotated = np.empty((2, len(points), len(angles)))
-    np.subtract(x * cos, y * sin, out=rotated[0])
-    np.add(x * sin, y * cos, out=rotated[1])
-    return rotated
+def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+    """(angle, (mhd, directed_ab, directed_ba)) of the least-MHD rotation.
 
-
-def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[float, float]:
-    """(angle, mhd) minimizing MHD over candidate rotations about the origin.
-
-    Candidates are the identity, then angle differences of point pairs whose
-    core distances differ by at most ALIGN_RADIUS_BAND; first least MHD wins.
+    The candidate rotations about the origin, all scored in one batch, are the
+    identity, then angle differences of point pairs whose core distances
+    differ by at most ALIGN_RADIUS_BAND; first least MHD wins.
     """
     pr = np.sqrt(probe[:, 0] ** 2 + probe[:, 1] ** 2)
     tr = np.sqrt(template[:, 0] ** 2 + template[:, 1] ** 2)
@@ -136,12 +122,17 @@ def best_rotation_alignment(probe: np.ndarray, template: np.ndarray) -> tuple[fl
 
     close = np.abs(pr[:, None] - tr[None, :]) <= ALIGN_RADIUS_BAND
     diffs = (ta[None, :] - pa[:, None])[close]
-    candidates = np.concatenate(([0.0], diffs))
-
-    angles = candidates.tolist()
-    mhds = mhd_of(*nearest_distances(_rotated_columns(probe, angles).T, template))
+    angles = np.concatenate(([0.0], diffs)).tolist()
+    # (2, n, C): the x and y columns the kernel reads; ``.T`` is the batch.
+    cos = np.fromiter(map(math.cos, angles), float, len(angles))
+    sin = np.fromiter(map(math.sin, angles), float, len(angles))
+    x, y = probe[:, 0, None], probe[:, 1, None]
+    rotated = np.empty((2, len(probe), len(angles)))
+    np.subtract(x * cos, y * sin, out=rotated[0])
+    np.add(x * sin, y * cos, out=rotated[1])
+    mhds, d_ab, d_ba = score_point_sets(rotated.T, template)
     best = int(np.argmin(mhds))
-    return angles[best], float(mhds[best])
+    return angles[best], (float(mhds[best]), float(d_ab[best]), float(d_ba[best]))
 
 
 def decide(index_ok: bool, iso_ok: bool, mhd: float, tau: float) -> tuple[tuple[bool, bool, bool], bool]:
@@ -160,10 +151,7 @@ def gate_trace(probe_sig: Signature, template: Signature, tau: float) -> VerifyR
     index_ok = probe_sig.index_key == template.index_key
     iso_ok = graph.is_isomorphic(probe_sig.graph, template.graph)
 
-    probe_pts = probe_sig.minutiae.coords()
-    template_pts = template.minutiae.coords()
-    angle, _ = best_rotation_alignment(probe_pts, template_pts)
-    mhd, d_ab, d_ba = score_point_sets(_rotated_columns(probe_pts, [angle]).T[0], template_pts)
+    angle, (mhd, d_ab, d_ba) = best_rotation_alignment(probe_sig.minutiae.coords(), template.minutiae.coords())
     gates, accepted = decide(index_ok, iso_ok, mhd, tau)
     score = MatchScore(mhd=mhd, directed_ab=d_ab, directed_ba=d_ba, accepted=accepted)
     return VerifyResult(record_id="", accepted=accepted, gates=gates, score=score, rotation=angle)

@@ -341,6 +341,13 @@ class TestMinutiaeSetArrays:
         with pytest.raises(ValueError):
             MinutiaeSet(xy=xy, theta=theta, kind=kind)
 
+    def test_a_set_built_from_another_sets_arrays_shares_them(self, s):
+        # Read-only arrays need no copy: the only copy is the one that
+        # ArrayValue makes of a writable input.
+        other = MinutiaeSet(core=s.core, xy=s.xy, theta=s.theta, kind=s.kind)
+        assert other == s
+        assert np.shares_memory(other.xy, s.xy) and np.shares_memory(other.kind, s.kind)
+
     def test_coords_is_the_stored_array(self, s):
         assert s.coords() is s.xy and s.coords() is s.coords()
 

@@ -181,6 +181,18 @@ class TestScorePointSets:
         assert (d_ab, d_ba) == (outlier_min, 0.0)
         assert mhd == outlier_min / len(probe)
 
+    def test_batch_scores_each_set_as_alone(self):
+        # A (C, n, 2) batch gives three (C,) arrays: per set, bit for bit the
+        # floats of that set scored alone. An empty batch is an empty set.
+        rng = np.random.default_rng(12)
+        batch, b = rng.uniform(-50, 50, (5, 7, 2)), rng.uniform(-50, 50, (9, 2))
+        scores = score_point_sets(batch, b)
+        assert [s.shape for s in scores] == [(5,)] * 3
+        assert [tuple(map(float, column)) for column in zip(*scores)] == [score_point_sets(a, b) for a in batch]
+        for empty in (np.empty((0, 7, 2)), np.empty((5, 0, 2))):
+            with pytest.raises(EmptySet):
+                score_point_sets(empty, b)
+
     def test_invariants_of_score(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -24,7 +24,7 @@ from fpverify.core import (
 )
 from fpverify.cluster import ClusterResult, kmeans_fing
 from fpverify.errors import BadThreshold, DuplicateId, FingerprintError, UnknownId
-from fpverify.matching import MatchScore, modified_hausdorff, score_point_sets
+from fpverify.matching import MatchScore, directed_hausdorff, modified_hausdorff, score_point_sets
 from fpverify.orientation import FEATURE_LEN, FeatureVector, FingerClass, GrayImage, OrientationField
 from fpverify.store import (
     GATES,
@@ -323,6 +323,34 @@ class TestEvalAgreesWithStore:
         assert accepted == {True, False}
 
 
+def rotate(points, angle):
+    """The points rotated by angle as gate 3 rotates them, with math cos/sin."""
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = points[:, 0], points[:, 1]
+    return np.column_stack((x * c - y * s, x * s + y * c))
+
+
+def ring_pair(candidates):
+    """A probe and template with one or two rotation candidates. Probe radii
+    100, 125, ..., 825; template radii from 900 on, so no pair lies in the
+    radius band, plus for two candidates one template point at radius 103, in
+    the band of the probe's first point alone."""
+    rng = np.random.default_rng(candidates)
+
+    def ring(radii):
+        angles = rng.uniform(-math.pi, math.pi, len(radii))
+        return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
+
+    probe = ring(100.0 + 25.0 * np.arange(30))
+    template = ring(np.concatenate(([103.0] if candidates == 2 else [], 900.0 + 25.0 * np.arange(29))))
+    return probe, template
+
+
+# One probe point and a template of two: candidates [0, 0, pi/2] all rotate the
+# probe's point onto the origin, so all three tie at MHD 2.5.
+TIE_PROBE, TIE_TEMPLATE = np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 5.0]])
+
+
 class TestAlignment:
     def test_recovers_known_rotation(self):
         rng = np.random.default_rng(3)
@@ -330,37 +358,35 @@ class TestAlignment:
         angle = 2.1
         c, s = math.cos(angle), math.sin(angle)
         rotated = pts @ np.array([[c, s], [-s, c]])  # rotate by -angle
-        best, mhd = best_rotation_alignment(rotated, pts)
-        assert mhd <= 1e-9
+        best, (mhd, d_ab, d_ba) = best_rotation_alignment(rotated, pts)
+        assert max(mhd, d_ab, d_ba) <= 1e-9
         assert math.isclose(math.cos(best), math.cos(angle), abs_tol=1e-6)
 
     def test_identity_candidate_always_tried(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, 2.0]])
-        best, mhd = best_rotation_alignment(pts, pts)
-        assert mhd == 0.0
+        assert best_rotation_alignment(pts, pts) == (0.0, (0.0, 0.0, 0.0))
 
     def test_searched_mhd_is_reported_mhd(self, store):
-        # The MHD the rotation search minimizes is the float that
-        # modified_hausdorff, verify and identify report for the same pair.
+        # The distances of the rotation the search picks are the floats that
+        # score_point_sets, verify and identify report for the same pair.
         template = finger(1)
         probe = perturb_impression(template, SynthConfig(seed=1001, jitter_sigma=1.0))
         probe_pts = to_core_relative(probe).coords()
-        angle, mhd = best_rotation_alignment(probe_pts, to_core_relative(template).coords())
-        c, s = math.cos(angle), math.sin(angle)
-        x, y = probe_pts[:, 0], probe_pts[:, 1]
-        rotated = np.column_stack((x * c - y * s, x * s + y * c))
-        assert modified_hausdorff(rotated, to_core_relative(template).coords()) == mhd
+        template_pts = to_core_relative(template).coords()
+        angle, scores = best_rotation_alignment(probe_pts, template_pts)
+        assert score_point_sets(rotate(probe_pts, angle), template_pts) == scores
+        assert modified_hausdorff(rotate(probe_pts, angle), template_pts) == scores[0]
 
         store.enroll(template, "t", k=3)  # k=3: one bucket for every finger
         result = store.verify(probe, "t", tau=12.0)
         assert result.rotation == angle
-        assert result.score.mhd == mhd
-        assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == mhd
+        assert (result.score.mhd, result.score.directed_ab, result.score.directed_ba) == scores
+        assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == scores[0]
 
     def test_chunk_size_does_not_change_the_result(self, monkeypatch):
         # The kernel takes the template a block of points at a time; any
         # budget, one point per block or all of them, picks the same angle and
-        # MHD as a plain scan that takes the first least MHD over the angles.
+        # distances as a plain scan that takes the first least MHD over the angles.
         import fpverify.matching as matching_module
 
         pairs = []
@@ -377,61 +403,116 @@ class TestAlignment:
         for (probe, template), found in zip(pairs, results[0]):
             best = None
             for angle in candidate_angles(probe, template):
-                c, s = math.cos(angle), math.sin(angle)
-                x, y = probe[:, 0], probe[:, 1]
-                rotated = np.column_stack((x * c - y * s, x * s + y * c))
-                mhd = modified_hausdorff(rotated, template)
-                if best is None or mhd < best[1]:
-                    best = (angle, mhd)
+                rotated = rotate(probe, angle)
+                scores = (
+                    modified_hausdorff(rotated, template),
+                    directed_hausdorff(rotated, template),
+                    directed_hausdorff(template, rotated),
+                )
+                if best is None or scores[0] < best[1][0]:
+                    best = (angle, scores)
             assert found == best
 
     @pytest.mark.parametrize("entries", [1, 4096])
     @pytest.mark.parametrize("candidates", [1, 2])
     def test_one_or_two_candidates_equal_a_brute_force_loop(self, monkeypatch, entries, candidates):
-        # Probe radii 100, 125, ..., 825; template radii from 900 on, so no
-        # pair lies in the radius band, plus for two candidates one template
-        # point at radius 103, in the band of the probe's first point alone.
         # One candidate gives one probe column, which a pairwise sum would
         # read to another ulp; one table entry forces one template point per block.
         import fpverify.matching as matching_module
 
         monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
-        rng = np.random.default_rng(candidates)
-
-        def ring(radii):
-            angles = rng.uniform(-math.pi, math.pi, len(radii))
-            return np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-
-        probe = ring(100.0 + 25.0 * np.arange(30))
-        template = ring(np.concatenate(([103.0] if candidates == 2 else [], 900.0 + 25.0 * np.arange(29))))
+        probe, template = ring_pair(candidates)
         angles = candidate_angles(probe, template)
         assert len(angles) == candidates
 
-        def mhd(a, b):
-            means = []
+        def distances(a, b):
+            """(MHD, directed a->b, directed b->a) by plain loops."""
+            means, worst = [], []
             for src, dst in ((a, b), (b, a)):
+                nearest = [min(math.sqrt((x - u) * (x - u) + (y - v) * (y - v)) for u, v in dst) for x, y in src]
                 total = 0.0
-                for x, y in src:
-                    total += min(math.sqrt((x - u) * (x - u) + (y - v) * (y - v)) for u, v in dst)
+                for d in nearest:
+                    total += d
                 means.append(total / len(src))
-            return max(means)
+                worst.append(max(nearest))
+            return (max(means), *worst)
 
         best = None
         for angle in angles:
             c, s = math.cos(angle), math.sin(angle)
             rotated = [(x * c - y * s, x * s + y * c) for x, y in probe.tolist()]
-            score = mhd(rotated, template.tolist())
-            if best is None or score < best[1]:
-                best = (angle, score)
+            scores = distances(rotated, template.tolist())
+            if best is None or scores[0] < best[1][0]:
+                best = (angle, scores)
         assert best_rotation_alignment(probe, template) == best
 
     def test_exact_tie_takes_first_candidate(self):
-        # Candidates [0, 0, pi/2] all rotate the probe's one point onto the
-        # origin, so all three score MHD 2.5; the first one wins.
-        probe = np.array([[0.0, 0.0]])
-        template = np.array([[0.0, 0.0], [0.0, 5.0]])
-        assert candidate_angles(probe, template) == [0.0, 0.0, math.pi / 2]
-        assert best_rotation_alignment(probe, template) == (0.0, 2.5)
+        # All three candidates score MHD 2.5; the first one wins, with its
+        # directed distances 0 (probe to template) and 5 (template to probe).
+        assert candidate_angles(TIE_PROBE, TIE_TEMPLATE) == [0.0, 0.0, math.pi / 2]
+        assert best_rotation_alignment(TIE_PROBE, TIE_TEMPLATE) == (0.0, (2.5, 0.0, 5.0))
+
+
+class TestOneGate3Pass:
+    """Gate 3 scores each pair once: the rotation search's winning column is
+    the reported score, to the bit the score of the probe rotated again by
+    the reported angle and scored alone."""
+
+    def test_one_verify_calls_the_kernel_once(self, store, monkeypatch):
+        import sys
+
+        import fpverify.matching as matching_module
+
+        kernel, calls = matching_module.nearest_distances, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        template = finger(1)
+        store.enroll(template, "t")
+        # Every name through which the package reaches the kernel.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fpverify" and getattr(module, "nearest_distances", None) is kernel:
+                monkeypatch.setattr(module, "nearest_distances", counted)
+        store.verify(perturb_impression(template, SynthConfig(seed=7, jitter_sigma=1.0)), "t")
+        assert len(calls) == 1
+
+    @staticmethod
+    def assert_one_pass(probe_sig, template_sig):
+        result = gate_trace(probe_sig, template_sig, 12.0)
+        probe, template = probe_sig.minutiae.coords(), template_sig.minutiae.coords()
+        rescored = score_point_sets(rotate(probe, result.rotation), template)
+        assert (result.score.mhd, result.score.directed_ab, result.score.directed_ba) == rescored
+
+    def test_criterion_10_pairs_score_as_a_rescoring(self, monkeypatch):
+        import fpverify.evaluate as evaluate_module
+
+        pairs = []
+
+        def recorded(probe_sig, template_sig, tau):
+            pairs.append((probe_sig, template_sig))
+            return gate_trace(probe_sig, template_sig, tau)
+
+        monkeypatch.setattr(evaluate_module, "gate_trace", recorded)
+        scenario = evaluate_module.ScenarioConfig(
+            seed=10_010, fingers=40, n_minutiae=30, jitter_sigma=1.0, k=3, genuine_pairs=200, imposter_pairs=200
+        )
+        evaluate_module.run_trials(scenario)
+        assert len(pairs) == 400
+        for probe_sig, template_sig in pairs:
+            self.assert_one_pass(probe_sig, template_sig)
+
+    @pytest.mark.parametrize("case", ["one candidate", "exact tie"])
+    def test_ring_and_tie_score_as_a_rescoring(self, case):
+        probe, template = ring_pair(1) if case == "one candidate" else (TIE_PROBE, TIE_TEMPLATE)
+        sig = compute_signature(finger(1))
+
+        def with_points(points):
+            n = len(points)
+            return dataclasses.replace(sig, minutiae=MinutiaeSet(xy=points, theta=np.zeros(n), kind=["E"] * n))
+
+        self.assert_one_pass(with_points(probe), with_points(template))
 
 
 class TestRecordParsing:
