@@ -155,6 +155,7 @@ class MinutiaeSet(ArrayValue):
             xy, theta, kind = [(m.x, m.y) for m in ms], [m.theta for m in ms], [m.kind.value for m in ms]
         xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
         theta = wrap_angle(np.asarray(theta, dtype=np.float64).reshape(-1))
+        theta.setflags(write=False)  # made here, so __post_init__ need not copy it
         kind = np.asarray(kind, dtype=str).reshape(-1)
         rows_ok = len(xy) == len(theta) == len(kind) and set(kind.tolist()) <= _KIND_CODES
         if not (rows_ok and np.isfinite(xy).all() and np.isfinite(theta).all()):

@@ -11,18 +11,16 @@ One kernel, ``nearest_distances``, serves all three and the batches of
 ``score_point_sets``, and it agrees bit for bit with a brute-force double loop
 over per-pair sqrt(dx*dx + dy*dy) with sequential sums. It lays the C sets of
 a batch out as (n, C) x and y columns, the sets on the last, contiguous axis,
-so the a->b minima are an elementwise ``np.minimum`` of whole rows and the
-b->a minima a reduction across rows. It takes the second set a block of
-points at a time, keeps the least squared distance of each point, and takes
-sqrt once, of those minima. That is exact: sqrt is correctly rounded and
-monotone, so sqrt(min) == min(sqrt), and a minimum does not depend on the
-order its terms are taken in. When a block would hold one point, as for the
-~200 rotated probes of gate 3, it loops over the points of the second set one
-at a time, as Python floats, into buffers made once. ``mhd_of`` sums down the
-columns with ``np.add.accumulate``, one row after another for every layout; a
-plain ``np.sum`` would run along the fast axis with one column (a single set,
-or a gate-3 pair whose only candidate is the identity, C = 1) and sum
-pairwise, an ulp away from the loop.
+and loops over the points of the second set one at a time, as Python floats,
+into buffers made once: the a->b minima are an elementwise ``np.minimum`` of
+whole rows and the b->a minima a reduction across rows. It keeps the least
+squared distance of each point and takes sqrt once, of those minima. That is
+exact: sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt), and
+a minimum does not depend on the order its terms are taken in. ``mhd_of`` sums
+down the columns with ``np.add.accumulate``, one row after another for every
+layout; a plain ``np.sum`` would run along the fast axis with one column (a
+single set, or a gate-3 pair whose only candidate is the identity, C = 1) and
+sum pairwise, an ulp away from the loop.
 """
 
 from __future__ import annotations
@@ -35,13 +33,6 @@ import numpy as np
 from .errors import BadThreshold, EmptySet
 
 DEFAULT_TAU = 12.0
-# Every distance table the package builds holds at most this many entries
-# (32 KiB of float64), or one column when the first set or batch alone has
-# more points. One table over all ~200 rotation candidates of gate 3 (1-2 MB)
-# took fresh pages from the allocator on every call, and its cost varied from
-# run to run; the ~200 rotated 30-point probes take one template point at a
-# time, into one ~46 KB (30, 200) table reused for every point.
-TABLE_ENTRIES = 4096
 
 
 def _as_points(points) -> np.ndarray:
@@ -53,42 +44,24 @@ def _as_points(points) -> np.ndarray:
 
 def nearest_distances(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-neighbor distances a->b (..., n) and b->a (..., m) between a
-    set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2), with
-    ``b`` taken in blocks of points whose tables keep to ``TABLE_ENTRIES``.
+    set or batch of sets ``a`` (..., n, 2) and one set ``b`` (m, 2), taking
+    ``b`` one point at a time.
 
     The outputs are transposed views of (n, C) and (m, C) arrays. A batch
     laid out in memory as its (2, n, C) transpose is read without a copy."""
     # Sets last: (n, C) coordinates of the C sets of the batch.
     ax, ay = np.ascontiguousarray(a.reshape(-1, a.shape[-2], 2).T)
-    step = max(1, TABLE_ENTRIES // ax.size)
-    b_to_a = np.empty((len(b), ax.shape[1]))
-    if step == 1:
-        # One point of b at a time, its coordinates Python floats, into
-        # buffers made once: for a large batch the per-call overhead of
-        # numpy, not the arithmetic, is the cost. Measured on 30-point sets,
-        # one process: from C = 69 on (step 1), 0.75-0.86x the blocked path's
-        # time; it ties at C = 40-68 (step 2-3) and takes 1.5-3.3x at C = 2-20.
-        least = np.full(ax.shape, np.inf)
-        table, dy = np.empty(ax.shape), np.empty(ax.shape)
-        for j, (bx, by) in enumerate(b.tolist()):
-            np.subtract(ax, bx, out=table)
-            np.square(table, out=table)
-            np.subtract(ay, by, out=dy)
-            table += np.square(dy, out=dy)
-            np.minimum(least, table, out=least)
-            table.min(axis=0, out=b_to_a[j])
-    else:
-        # A block of B points of b gives a (B, n, C) table; ``blocks`` holds
-        # the a->b minima so far of each row of the block.
-        blocks = np.full((min(step, len(b)),) + ax.shape, np.inf)
-        for j in range(0, len(b), step):
-            table = np.square(ax - b[j : j + step, 0, None, None])
-            dy = ay - b[j : j + step, 1, None, None]
-            table += np.square(dy, out=dy)
-            np.minimum(blocks[: len(table)], table, out=blocks[: len(table)])
-            table.min(axis=1, out=b_to_a[j : j + len(table)])
-        least = blocks.min(axis=0)
-    # Exact: sqrt is correctly rounded and monotone, so sqrt(min) == min(sqrt).
+    # Python floats for b, buffers made once: for the ~200 rotated probes of
+    # gate 3 numpy's per-call overhead, not the arithmetic, is the cost.
+    b_to_a, least = np.empty((len(b), ax.shape[1])), np.full(ax.shape, np.inf)
+    table, dy = np.empty(ax.shape), np.empty(ax.shape)
+    for j, (bx, by) in enumerate(b.tolist()):
+        np.subtract(ax, bx, out=table)
+        np.square(table, out=table)
+        np.subtract(ay, by, out=dy)
+        table += np.square(dy, out=dy)
+        np.minimum(least, table, out=least)
+        table.min(axis=0, out=b_to_a[j])
     a_to_b = np.sqrt(least).T.reshape(a.shape[:-1])
     return a_to_b, np.sqrt(b_to_a).T.reshape(a.shape[:-2] + (len(b),))
 
@@ -107,19 +80,17 @@ def mhd_of(a_to_b: np.ndarray, b_to_a: np.ndarray) -> np.ndarray:
 
 def directed_hausdorff(m_points, n_points) -> float:
     """max over M of the distance to the nearest point of N."""
-    m_to_n, _ = nearest_distances(_as_points(m_points), _as_points(n_points))
-    return float(m_to_n.max())
+    return score_point_sets(_as_points(m_points), n_points)[1]
 
 
 def hausdorff(m_points, n_points) -> float:
     """Symmetric Hausdorff: max of the two directed distances."""
-    m_to_n, n_to_m = nearest_distances(_as_points(m_points), _as_points(n_points))
-    return float(max(m_to_n.max(), n_to_m.max()))
+    return max(score_point_sets(_as_points(m_points), n_points)[1:])
 
 
 def modified_hausdorff(m_points, n_points) -> float:
     """MHD: max over both directions of the mean nearest-neighbor distance."""
-    return float(mhd_of(*nearest_distances(_as_points(m_points), _as_points(n_points))))
+    return score_point_sets(_as_points(m_points), n_points)[0]
 
 
 @dataclass(frozen=True)

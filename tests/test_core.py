@@ -348,6 +348,19 @@ class TestMinutiaeSetArrays:
         assert other == s
         assert np.shares_memory(other.xy, s.xy) and np.shares_memory(other.kind, s.kind)
 
+    def test_theta_is_the_wrapped_array_frozen_without_a_copy(self, s, monkeypatch):
+        import fpverify.core as core_module
+
+        made = []
+
+        def recorded(theta):
+            made.append(wrap_angle(theta))
+            return made[-1]
+
+        monkeypatch.setattr(core_module, "wrap_angle", recorded)
+        other = MinutiaeSet(core=s.core, xy=s.xy, theta=s.theta, kind=s.kind)
+        assert other.theta is made[0] and not other.theta.flags.writeable
+
     def test_coords_is_the_stored_array(self, s):
         assert s.coords() is s.xy and s.coords() is s.coords()
 

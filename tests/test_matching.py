@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fpverify.matching as matching_module
 from fpverify.errors import EmptySet
 from fpverify.matching import (
     directed_hausdorff,
@@ -76,14 +76,11 @@ class TestDirectedHausdorff:
         with pytest.raises(EmptySet):
             directed_hausdorff([], [(0, 0)])
 
-    def test_agrees_with_oracle_exactly(self, monkeypatch):
-        # Under any table budget: one point of b per block, or all of them.
+    def test_agrees_with_oracle_exactly(self):
         rng = np.random.default_rng(42)
-        pairs = [random_pair(rng) for _ in range(100)]
-        for entries in (matching_module.TABLE_ENTRIES, 1, 10**9):
-            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
-            for a, b in pairs:
-                assert directed_hausdorff(a, b) == oracle_directed(a.tolist(), b.tolist())
+        for _ in range(100):
+            a, b = random_pair(rng)
+            assert directed_hausdorff(a, b) == oracle_directed(a.tolist(), b.tolist())
 
 
 class TestHausdorff:
@@ -119,22 +116,17 @@ class TestModifiedHausdorff:
         assert modified_hausdorff([(0.0, 0.0)], [(3.0, 4.0)]) == 5.0
         assert hausdorff([(0.0, 0.0)], [(3.0, 4.0)]) == 5.0
 
-    def test_agrees_with_oracle_exactly(self, monkeypatch):
+    def test_agrees_with_oracle_exactly(self):
         rng = np.random.default_rng(7)
-        pairs = [random_pair(rng) for _ in range(100)]
-        for entries in (matching_module.TABLE_ENTRIES, 1, 10**9):
-            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
-            for a, b in pairs:
-                assert modified_hausdorff(a, b) == oracle_mhd(a.tolist(), b.tolist())
+        for _ in range(100):
+            a, b = random_pair(rng)
+            assert modified_hausdorff(a, b) == oracle_mhd(a.tolist(), b.tolist())
 
     def test_batch_rows_equal_single_sets(self):
-        # 7 sets of 13 points take b in blocks of 4096 // 91 = 45 points, so
-        # 100 points of b end in a partial block; each set alone takes b in
-        # one block. Every row is the single-set call, to the bit.
+        # Every row of a batch is the single-set call, to the bit.
         rng = np.random.default_rng(11)
         batch = rng.uniform(-200, 200, size=(7, 13, 2))
         b = rng.uniform(-200, 200, size=(100, 2))
-        assert len(b) % (matching_module.TABLE_ENTRIES // (7 * 13)) != 0
         a_to_b, b_to_a = nearest_distances(batch, b)
         mhds = mhd_of(a_to_b, b_to_a)
         for row, a in enumerate(batch):
@@ -149,6 +141,29 @@ class TestModifiedHausdorff:
         rng = np.random.default_rng(seed)
         a, b = random_pair(rng, max_size=25)
         assert modified_hausdorff(a, b) <= hausdorff(a, b)
+
+
+class TestNearestDistances:
+    @pytest.mark.parametrize("sets", [1, 2, 20, 40, 68, 69, 200])
+    def test_every_batch_size_equals_a_brute_force_table(self, sets):
+        # One loop serves one set (C = 1, the shape the Hausdorff functions
+        # pass) and batches up to the ~200 rotated probes of gate 3. The
+        # oracle builds the whole (C, n, m) table of per-pair sqrt(dx*dx +
+        # dy*dy) and takes its minima; the MHD of the first and last set is
+        # the double loop's.
+        rng = np.random.default_rng(sets)
+        for n, m in itertools.product([1, 13, 30, 100], repeat=2):
+            batch, b = rng.uniform(-200, 200, (sets, n, 2)), rng.uniform(-200, 200, (m, 2))
+            a = batch[0] if sets == 1 else batch
+            dx = batch[:, :, None, 0] - b[None, None, :, 0]
+            dy = batch[:, :, None, 1] - b[None, None, :, 1]
+            table = np.sqrt(dx * dx + dy * dy)
+            a_to_b, b_to_a = nearest_distances(a, b)
+            assert np.array_equal(a_to_b, table.min(axis=2).reshape(a.shape[:-1]))
+            assert np.array_equal(b_to_a, table.min(axis=1).reshape(a.shape[:-2] + (m,)))
+            mhds = mhd_of(a_to_b, b_to_a).reshape(-1)
+            for row in {0, sets - 1}:
+                assert mhds[row] == oracle_mhd(batch[row].tolist(), b.tolist())
 
 
 class TestRigidInvariance:

@@ -383,24 +383,14 @@ class TestAlignment:
         assert (result.score.mhd, result.score.directed_ab, result.score.directed_ba) == scores
         assert dict(store.identify(probe, tau=12.0, k=3))["t"].mhd == scores[0]
 
-    def test_chunk_size_does_not_change_the_result(self, monkeypatch):
-        # The kernel takes the template a block of points at a time; any
-        # budget, one point per block or all of them, picks the same angle and
-        # distances as a plain scan that takes the first least MHD over the angles.
-        import fpverify.matching as matching_module
-
-        pairs = []
+    def test_batched_search_equals_a_plain_scan(self):
+        # The one batched search picks the same angle and distances as a
+        # plain scan that scores each rotation alone and takes the first
+        # least MHD over the angles.
         for seed in range(6):
             template = to_core_relative(finger(seed)).coords()
-            probe = perturb_impression(finger(seed), SynthConfig(seed=2000 + seed, jitter_sigma=1.0))
-            pairs.append((to_core_relative(probe).coords(), template))
-        results = []
-        for entries in (1, 900 * 7, matching_module.TABLE_ENTRIES, 10**9):
-            monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
-            results.append([best_rotation_alignment(p, t) for p, t in pairs])
-        assert all(r == results[0] for r in results)
-
-        for (probe, template), found in zip(pairs, results[0]):
+            impression = perturb_impression(finger(seed), SynthConfig(seed=2000 + seed, jitter_sigma=1.0))
+            probe = to_core_relative(impression).coords()
             best = None
             for angle in candidate_angles(probe, template):
                 rotated = rotate(probe, angle)
@@ -411,16 +401,12 @@ class TestAlignment:
                 )
                 if best is None or scores[0] < best[1][0]:
                     best = (angle, scores)
-            assert found == best
+            assert best_rotation_alignment(probe, template) == best
 
-    @pytest.mark.parametrize("entries", [1, 4096])
     @pytest.mark.parametrize("candidates", [1, 2])
-    def test_one_or_two_candidates_equal_a_brute_force_loop(self, monkeypatch, entries, candidates):
+    def test_one_or_two_candidates_equal_a_brute_force_loop(self, candidates):
         # One candidate gives one probe column, which a pairwise sum would
-        # read to another ulp; one table entry forces one template point per block.
-        import fpverify.matching as matching_module
-
-        monkeypatch.setattr(matching_module, "TABLE_ENTRIES", entries)
+        # read to another ulp.
         probe, template = ring_pair(candidates)
         angles = candidate_angles(probe, template)
         assert len(angles) == candidates
