@@ -330,12 +330,12 @@ def rotate(points, angle):
     return np.column_stack((x * c - y * s, x * s + y * c))
 
 
-def ring_pair(candidates):
+def ring_pair(candidates, seed):
     """A probe and template with one or two rotation candidates. Probe radii
     100, 125, ..., 825; template radii from 900 on, so no pair lies in the
     radius band, plus for two candidates one template point at radius 103, in
-    the band of the probe's first point alone."""
-    rng = np.random.default_rng(candidates)
+    the band of the probe's first point alone. The seed draws the angles."""
+    rng = np.random.default_rng(seed)
 
     def ring(radii):
         angles = rng.uniform(-math.pi, math.pi, len(radii))
@@ -403,11 +403,12 @@ class TestAlignment:
                     best = (angle, scores)
             assert best_rotation_alignment(probe, template) == best
 
+    @pytest.mark.parametrize("seed", [1, 4096])
     @pytest.mark.parametrize("candidates", [1, 2])
-    def test_one_or_two_candidates_equal_a_brute_force_loop(self, candidates):
+    def test_one_or_two_candidates_equal_a_brute_force_loop(self, seed, candidates):
         # One candidate gives one probe column, which a pairwise sum would
-        # read to another ulp.
-        probe, template = ring_pair(candidates)
+        # read to another ulp. Two seeds give two layouts of the ring angles.
+        probe, template = ring_pair(candidates, seed)
         angles = candidate_angles(probe, template)
         assert len(angles) == candidates
 
@@ -491,7 +492,7 @@ class TestOneGate3Pass:
 
     @pytest.mark.parametrize("case", ["one candidate", "exact tie"])
     def test_ring_and_tie_score_as_a_rescoring(self, case):
-        probe, template = ring_pair(1) if case == "one candidate" else (TIE_PROBE, TIE_TEMPLATE)
+        probe, template = ring_pair(1, 1) if case == "one candidate" else (TIE_PROBE, TIE_TEMPLATE)
         sig = compute_signature(finger(1))
 
         def with_points(points):
